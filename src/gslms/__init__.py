@@ -21,7 +21,6 @@ from .filters import (
     FilterState,
     initial_state,
     predict,
-    run_sequence,
     step,
 )
 from .varparam import (

@@ -113,7 +113,8 @@ def _cmd_experiment(cfg, args) -> int:
     for curve in curves:
         stages = steady_state_db(curve.msd, schedule) if cfg.iterations else []
         stage_txt = "  ".join(f"stage{k+1} {v:.2f} dB" for k, v in enumerate(stages))
-        divergence = f"  [{curve.diverged_runs} diverged]" if curve.diverged_runs else ""
+        diverged = curve.metadata["diverged_runs"]
+        divergence = f"  [{diverged} diverged]" if diverged else ""
         print(f"  {curve.name:>10}: {stage_txt}{divergence}")
     print(f"wrote {len(paths)} files to {out_dir}")
     return 0
@@ -155,9 +156,18 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
+def _check_counts(args) -> None:
+    """Reject a count flag below its least value before any work starts."""
+    for name, least in (("workers", 1), ("horizon", 1), ("ensemble", 2)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ConfigError(f"--{name} must be at least {least}, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         if args.command == "run":
             return _cmd_experiment(load_config(args.config), args)
         if args.command.startswith("paper-"):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .groups import GRZA, GZA
-from .signals import AR1GaussianMixture, WhiteGaussian, stationary_power
+from .signals import AR1GaussianMixture, WhiteGaussian, benchmark_schedule, stationary_power
 
 __all__ = [
     "ConfigError",
@@ -72,7 +72,6 @@ class ExperimentConfig:
     experiment: str = "custom"
     runs: int = 100
     iterations: int = 24000
-    filter_length: int = 35
     group_size: int = 5
     epsilon: float = 0.1
     sigma_z2: float = 0.01
@@ -87,10 +86,9 @@ class ExperimentConfig:
             raise ConfigError("runs must be at least 1")
         if self.iterations < 0:
             raise ConfigError("iterations must be nonnegative")
-        if self.filter_length < 1:
-            raise ConfigError("filter length must be at least 1")
-        if not 1 <= self.group_size <= self.filter_length:
-            raise ConfigError("group size must lie in [1, filter length]")
+        L = benchmark_schedule().L
+        if not 1 <= self.group_size <= L:
+            raise ConfigError(f"group size must lie in [1, {L}] (the plant length)")
         if not self.epsilon > 0:
             raise ConfigError("epsilon must be positive")
         if not self.sigma_z2 >= 0:
@@ -108,7 +106,7 @@ class ExperimentConfig:
 
 
 _EXPERIMENT_KEYS = {
-    "id", "runs", "iterations", "filter_length", "group_size", "epsilon",
+    "id", "runs", "iterations", "group_size", "epsilon",
     "noise_variance", "input", "input_variance", "ar_alpha", "ar_a",
     "ar_sigma_v2", "master_seed", "output_dir", "format",
 }
@@ -205,7 +203,6 @@ def parse_config(text: str) -> ExperimentConfig:
         experiment=e("id", str, "custom"),
         runs=e("runs", int, 100),
         iterations=e("iterations", int, 24000),
-        filter_length=e("filter_length", int, 35),
         group_size=e("group_size", int, 5),
         epsilon=e("epsilon", float, 0.1),
         sigma_z2=e("noise_variance", float, 0.01),
@@ -245,8 +242,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     out.write("[experiment]\n")
     pairs = [
         ("id", cfg.experiment), ("runs", cfg.runs), ("iterations", cfg.iterations),
-        ("filter_length", cfg.filter_length), ("group_size", cfg.group_size),
-        ("epsilon", cfg.epsilon), ("noise_variance", cfg.sigma_z2),
+        ("group_size", cfg.group_size), ("epsilon", cfg.epsilon),
+        ("noise_variance", cfg.sigma_z2),
     ]
     if isinstance(cfg.input, WhiteGaussian):
         pairs += [("input", "white"), ("input_variance", cfg.input.variance)]

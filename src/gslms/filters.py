@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,12 +24,7 @@ __all__ = [
     "initial_state",
     "predict",
     "step",
-    "run_sequence",
 ]
-
-# Hook signature: (state, u, error) -> (mu_n, rho_n), queried before each
-# update when a config runs with variable parameters.
-ParamSource = Callable[["FilterState", np.ndarray, float], tuple[float, float]]
 
 
 class DivergenceError(RuntimeError):
@@ -47,7 +42,7 @@ class FilterConfig:
     ``mode is None`` selects plain LMS; otherwise the attractor mode picks
     the uniform or reweighted group attractor.  ``mu``/``rho`` are the
     fixed-parameter values; they are ignored when ``variable_params`` is set
-    and a parameter source drives the run instead.
+    and the variable-parameter engine supplies them per step instead.
     """
 
     L: int
@@ -94,14 +89,16 @@ def step(
     d: float,
     mu_n: float,
     rho_n: float,
+    beta_s: Optional[np.ndarray] = None,
 ) -> FilterState:
     """One adaptive update with the supplied step size and shrinkage.
 
     Computes the estimation error ``e = d - w^T u`` and applies
     ``w <- w + mu_n e u - rho_n (beta o s)`` where the attractor product is
-    evaluated at the current weights.  Plain-LMS configs (and ``rho_n == 0``)
-    skip the attractor term entirely, which is bit-identical to subtracting
-    a zero multiple of it.
+    evaluated at the current weights, unless the caller already holds it
+    for this state and passes it as ``beta_s``.  Plain-LMS configs (and
+    ``rho_n == 0``) skip the attractor term entirely, which is bit-identical
+    to subtracting a zero multiple of it.
     """
     if u.shape[0] != cfg.L:
         raise ValueError(f"regressor length {u.shape[0]} != filter length {cfg.L}")
@@ -111,32 +108,9 @@ def step(
     e = d - e
     w_next = state.w + (mu_n * e) * u
     if rho_n != 0.0 and cfg.mode is not None:
-        w_next -= rho_n * attractor_term(state.w, cfg.partition, cfg.mode)
+        if beta_s is None:
+            beta_s = attractor_term(state.w, cfg.partition, cfg.mode)
+        w_next -= rho_n * beta_s
     if not math.isfinite(w_next.sum()):
         raise DivergenceError(state.n)
     return FilterState(w=w_next, n=state.n + 1, last_error=float(e))
-
-
-def run_sequence(
-    cfg: FilterConfig,
-    samples: Iterable[tuple[np.ndarray, float]],
-    param_source: Optional[ParamSource] = None,
-) -> Iterator[FilterState]:
-    """Fold :func:`step` over a stream of ``(u, d)`` pairs.
-
-    Yields the state after each update.  With ``variable_params`` set, the
-    parameter source is queried before every update with the current state,
-    regressor and estimation error; otherwise the config's fixed ``mu`` and
-    ``rho`` apply throughout.  Divergence aborts the stream with the
-    iteration index attached.
-    """
-    if cfg.variable_params and param_source is None:
-        raise ValueError("variable-parameter run needs a parameter source")
-    state = initial_state(cfg.L)
-    mu_n, rho_n = cfg.mu, cfg.rho
-    for u, d in samples:
-        if param_source is not None:
-            e = d - np.dot(state.w, u)
-            mu_n, rho_n = param_source(state, u, float(e))
-        state = step(state, cfg, u, d, mu_n, rho_n)
-        yield state

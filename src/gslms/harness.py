@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
-from .config import AlgorithmSpec, ExperimentConfig, config_hash, serialize_config
+from . import __version__, filters
+from .config import ExperimentConfig, config_hash, serialize_config
 from .filters import DivergenceError, FilterConfig, initial_state, step
 from .groups import AttractorMode, GroupPartition
 from .signals import PlantSchedule, benchmark_schedule, scalar_stream, simulate_plant
@@ -30,7 +30,6 @@ __all__ = [
     "experiment_schedule",
     "stage_windows",
     "steady_state_db",
-    "filter_config_for",
 ]
 
 STEADY_STATE_WINDOW = 1000
@@ -38,18 +37,20 @@ STEADY_STATE_WINDOW = 1000
 
 @dataclass
 class LearningCurve:
-    """Run-averaged MSD of one algorithm, plus parameter traces for VP ones."""
+    """Run-averaged MSD of one algorithm, plus parameter traces for VP ones.
+
+    ``metadata`` holds the run bookkeeping, ``runs_used`` and ``diverged_runs``
+    included, exactly as the JSON curve files emit it.
+    """
 
     name: str
     msd: np.ndarray  # linear scale
     mu_trace: Optional[np.ndarray]
     lambda_trace: Optional[np.ndarray]
-    runs_used: int
-    diverged_runs: int
     metadata: dict
 
     def __post_init__(self):
-        if self.runs_used > 0 and np.any(self.msd < 0):
+        if np.any(self.msd < 0):
             raise ValueError("linear MSD cannot be negative")
 
     @property
@@ -59,59 +60,56 @@ class LearningCurve:
 
 
 def experiment_schedule(cfg: ExperimentConfig) -> PlantSchedule:
-    """Benchmark plant schedule trimmed to the configured horizon."""
+    """Benchmark plant schedule trimmed to the configured horizon.
+
+    The three length-35 plants take over at iterations 1, 8000 and 16000
+    whatever ``iterations`` is; switches past the horizon are dropped.
+    """
     switches = tuple(s for s in (1, 8000, 16000) if s <= max(cfg.iterations, 1))
     return benchmark_schedule(switches, cfg.iterations)
 
 
-def filter_config_for(spec: AlgorithmSpec, cfg: ExperimentConfig,
-                      partition: GroupPartition) -> FilterConfig:
-    mode = None if spec.mode is None else AttractorMode(spec.mode, cfg.epsilon)
-    return FilterConfig(
-        L=cfg.filter_length,
-        partition=partition,
-        mode=mode,
-        mu=spec.mu,
-        rho=spec.rho,
-        variable_params=spec.variable,
-    )
-
-
 def _execute_algorithm(spec, fcfg, cfg, stream, target):
-    """One algorithm over one realization; returns (msd, mu, lambda) arrays."""
+    """One algorithm over one realization; returns (msd, mu, lambda) arrays.
+
+    Fixed algorithms apply ``(fcfg.mu, fcfg.rho)``, variable ones ask
+    ``vp_iteration``.  The attractor is evaluated once per step and shared.
+    """
     N = cfg.iterations
     msd = np.empty(N)
-    state = initial_state(cfg.filter_length)
+    state = initial_state(fcfg.L)
+    mu_n, rho_n = fcfg.mu, fcfg.rho
+    mu_tr = lam_tr = vp = beta_s = None
     if spec.variable:
         vp = VpState.for_filter(
-            cfg.filter_length, cfg.sigma_z2, cfg.sigma_u2,
+            fcfg.L, cfg.sigma_z2, cfg.sigma_u2,
             gamma=spec.gamma, gamma_prime=spec.gamma_prime, mu_max=spec.mu_max,
         )
-        mu_tr = np.empty(N)
-        lam_tr = np.empty(N)
-        for i in range(N):
-            u = stream.U[i]
-            d = stream.d[i]
+        mu_tr, lam_tr = np.empty(N), np.empty(N)
+    attract = fcfg.mode is not None and (vp is not None or rho_n != 0.0)
+    for i in range(N):
+        u = stream.U[i]
+        d = stream.d[i]
+        if attract:
+            # Looked up on ``filters`` so a wrapper installed there (the
+            # perfbench tracer) sees every evaluation.
+            beta_s = filters.attractor_term(state.w, fcfg.partition, fcfg.mode)
+        if vp is not None:
             e = d - np.dot(state.w, u)
-            mu_n, rho_n = vp_iteration(vp, state, fcfg, u, float(e))
-            state = step(state, fcfg, u, d, mu_n, rho_n)
-            diff = state.w - target[i]
-            msd[i] = np.dot(diff, diff)
+            mu_n, rho_n = vp_iteration(vp, state, fcfg, u, float(e), beta_s)
             mu_tr[i] = mu_n
             lam_tr[i] = rho_n / mu_n if mu_n != 0.0 else 0.0
-        return msd, mu_tr, lam_tr
-    for i in range(N):
-        state = step(state, fcfg, stream.U[i], stream.d[i], fcfg.mu, fcfg.rho)
+        state = step(state, fcfg, u, d, mu_n, rho_n, beta_s)
         diff = state.w - target[i]
         msd[i] = np.dot(diff, diff)
-    return msd, None, None
+    return msd, mu_tr, lam_tr
 
 
 def _run_single(args: tuple[ExperimentConfig, int]):
     """Worker: all algorithms on the paired streams of one Monte-Carlo run."""
     cfg, run_index = args
     schedule = experiment_schedule(cfg)
-    partition = GroupPartition.contiguous(cfg.filter_length, cfg.group_size)
+    partition = GroupPartition.contiguous(schedule.L, cfg.group_size)
     x_seed = [cfg.master_seed, run_index, 0]
     z_seed = [cfg.master_seed, run_index, 1]
     x = scalar_stream(cfg.input, cfg.iterations, x_seed)
@@ -120,7 +118,9 @@ def _run_single(args: tuple[ExperimentConfig, int]):
     power = float(np.mean(x * x)) if x.size else 0.0
     out = {}
     for spec in cfg.algorithms:
-        fcfg = filter_config_for(spec, cfg, partition)
+        mode = None if spec.mode is None else AttractorMode(spec.mode, cfg.epsilon)
+        fcfg = FilterConfig(schedule.L, partition, mode, mu=spec.mu, rho=spec.rho,
+                            variable_params=spec.variable)
         try:
             out[spec.name] = _execute_algorithm(spec, fcfg, cfg, stream, target)
         except DivergenceError:
@@ -189,10 +189,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
             "iterations": cfg.iterations,
             "measured_input_power": measured_power,
         }
-        curves.append(LearningCurve(
-            name=spec.name, msd=msd, mu_trace=mu_tr, lambda_trace=lam_tr,
-            runs_used=n_used, diverged_runs=cfg.runs - n_used, metadata=metadata,
-        ))
+        curves.append(LearningCurve(name=spec.name, msd=msd, mu_trace=mu_tr,
+                                    lambda_trace=lam_tr, metadata=metadata))
     return curves
 
 
@@ -217,10 +215,6 @@ def steady_state_db(msd: np.ndarray, schedule: PlantSchedule,
         float(10.0 * np.log10(np.mean(msd[lo:hi])))
         for lo, hi in stage_windows(schedule, window)
     ]
-
-
-def _float_repr(v: float) -> str:
-    return repr(float(v))
 
 
 def _curve_columns(curve: LearningCurve) -> tuple[list[str], list[np.ndarray]]:
@@ -262,8 +256,8 @@ def emit_curves(curves: list[LearningCurve], cfg: ExperimentConfig,
         manifest_curves.append({
             "algorithm": curve.name,
             "file": fname,
-            "runs_used": curve.runs_used,
-            "diverged_runs": curve.diverged_runs,
+            "runs_used": curve.metadata["runs_used"],
+            "diverged_runs": curve.metadata["diverged_runs"],
         })
     manifest = {
         "version": __version__,
@@ -293,7 +287,7 @@ def _write_csv(path: str, curve: LearningCurve) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
         for row in zip(*cols):
-            fields = [str(int(row[0]))] + [_float_repr(v) for v in row[1:]]
+            fields = [str(int(row[0]))] + [repr(float(v)) for v in row[1:]]
             fh.write(",".join(fields) + "\n")
 
 

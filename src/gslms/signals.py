@@ -9,9 +9,8 @@ piecewise-constant schedule of weight vectors.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,7 +28,6 @@ __all__ = [
     "benchmark_plants",
     "benchmark_schedule",
     "simulate_plant",
-    "export_plants_csv",
 ]
 
 AR1_BURN_IN = 1000
@@ -219,12 +217,6 @@ class SignalStream:
     plant_index: np.ndarray
     schedule: PlantSchedule
 
-    def rows(self) -> Iterator[tuple[np.ndarray, float, np.ndarray]]:
-        """Iterate ``(u_n, d_n, w_star_n)`` triples."""
-        plants = self.schedule.plant_matrix()
-        for i in range(self.d.shape[0]):
-            yield self.U[i], float(self.d[i]), plants[self.plant_index[i]]
-
 
 def simulate_plant(
     schedule: PlantSchedule, x: np.ndarray, sigma_z2: float, noise_seed
@@ -249,13 +241,3 @@ def simulate_plant(
         rng = np.random.default_rng(noise_seed)
         d = d + rng.normal(0.0, np.sqrt(sigma_z2), size=n)
     return SignalStream(U=U, d=d, plant_index=idx, schedule=schedule)
-
-
-def export_plants_csv(path) -> None:
-    """Write the built-in plant vectors to ``path`` for inspection."""
-    w1, w2, w3 = benchmark_plants()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "w_star_1", "w_star_2", "w_star_3"])
-        for i in range(w1.shape[0]):
-            writer.writerow([i + 1, repr(float(w1[i])), repr(float(w2[i])), repr(float(w3[i]))])

@@ -245,13 +245,15 @@ def smooth_and_clamp(
     return mu_n, rho_n
 
 
-def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float) -> tuple[float, float]:
+def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
+                 beta_s: np.ndarray | None = None) -> tuple[float, float]:
     """Full per-iteration chain; returns the parameters to apply now.
 
     Chains the EMSE estimate, the moment estimates (via the one-step plant
     approximation and the current attractor product), the closed-form solve,
     smoothing/clamping, and finally the model propagation with the
-    parameters that the filter will actually use.
+    parameters that the filter will actually use.  ``beta_s``, when given,
+    is the attractor product at ``state.w`` (shared with ``step``).
     """
     zeta_hat = estimate_emse(vp, e_n)
     # Re-base the model MSD on the current estimate so the floor written by
@@ -262,10 +264,10 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float) -> tuple[
     g = compute_g(vp, zeta_hat)
     r1 = compute_r1(zeta_hat)
     _, w_tilde_hat = one_step_plant_estimate(state.w, e_n, u_n, r1, g)
-    if cfg.mode is not None:
-        beta_s = attractor_term(state.w, cfg.partition, cfg.mode)
-    else:
+    if cfg.mode is None:
         beta_s = np.zeros(vp.L)
+    elif beta_s is None:
+        beta_s = attractor_term(state.w, cfg.partition, cfg.mode)
     h, ell, r2 = compute_instantaneous_moments(w_tilde_hat, u_n, beta_s)
     m = MomentEstimates(g=g, h=h, ell=ell, r1=r1, r2=r2)
     mu_star, rho_star = solve_optimal_params(m)

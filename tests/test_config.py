@@ -2,6 +2,7 @@
 
 import pytest
 
+from gslms.cli import main
 from gslms.config import (
     BUILTIN_EXPERIMENTS,
     AlgorithmSpec,
@@ -13,6 +14,7 @@ from gslms.config import (
     parse_config,
     serialize_config,
 )
+from gslms.harness import experiment_schedule
 from gslms.signals import AR1GaussianMixture, WhiteGaussian
 
 
@@ -24,7 +26,7 @@ def test_defaults_are_valid():
     cfg = ExperimentConfig()
     assert cfg.runs == 100
     assert cfg.iterations == 24000
-    assert cfg.filter_length == 35
+    assert experiment_schedule(cfg).L == 35
     assert cfg.group_size == 5
     assert isinstance(cfg.input, WhiteGaussian)
 
@@ -34,7 +36,7 @@ def test_defaults_are_valid():
     [
         dict(runs=0),
         dict(iterations=-1),
-        dict(filter_length=0),
+        dict(epsilon=float("nan")),
         dict(group_size=0),
         dict(group_size=36),
         dict(epsilon=0.0),
@@ -87,7 +89,6 @@ def test_parse_full_experiment_section():
         id = demo
         runs = 5
         iterations = 1000
-        filter_length = 16
         group_size = 4
         epsilon = 0.2
         noise_variance = 0.02
@@ -109,6 +110,20 @@ def test_parse_full_experiment_section():
     assert cfg.algorithms == (
         AlgorithmSpec(name="fast", mode="grza", mu=0.05, rho=1e-4),
     )
+
+
+def test_filter_length_key_rejected(tmp_path, capsys):
+    """The filter length is the plants' (35), so the key is unknown: a value
+    that cannot run is refused at parse time, and the CLI exits 2."""
+    text = "[experiment]\nfilter_length = 16\n"
+    with pytest.raises(ConfigError, match="unknown key.*filter_length"):
+        parse_config(text)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "filter_length" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_ar1_mixture_input():
@@ -238,7 +253,7 @@ def test_builtin_protocol_constants(name):
     cfg = builtin_config(name)
     assert cfg.runs == 100
     assert cfg.iterations == 24000
-    assert cfg.filter_length == 35
+    assert experiment_schedule(cfg).L == 35
     assert cfg.group_size == 5
     assert cfg.epsilon == 0.1
     assert cfg.sigma_z2 == 0.01

@@ -10,7 +10,6 @@ from gslms.filters import (
     FilterState,
     initial_state,
     predict,
-    run_sequence,
     step,
 )
 from gslms.groups import (
@@ -20,6 +19,7 @@ from gslms.groups import (
     AttractorMode,
     GroupPartition,
     attractor_direction,
+    attractor_term,
     beta_weights,
     expand_group_vector,
     group_norms,
@@ -42,6 +42,16 @@ def _mode_config(L, tag, group_size=5, epsilon=0.1, mu=0.0, rho=0.0):
 
 def _random_samples(rng, L, n):
     return [(rng.normal(size=L), float(rng.normal())) for _ in range(n)]
+
+
+def _fixed_trajectory(cfg, samples):
+    """Weights after each fixed-parameter ``step`` over ``samples``."""
+    state = initial_state(cfg.L)
+    out = []
+    for u, d in samples:
+        state = step(state, cfg, u, d, cfg.mu, cfg.rho)
+        out.append(state.w)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +173,20 @@ def test_step_divergence_reports_iteration():
     assert exc.value.iteration == 41
 
 
+@pytest.mark.parametrize("tag", [GZA, GRZA])
+def test_step_with_precomputed_attractor_is_bitwise_equal(tag):
+    """Passing the attractor product for the current weights changes nothing."""
+    rng = np.random.default_rng(13)
+    cfg = _mode_config(10, tag)
+    state = FilterState(w=rng.normal(size=10))
+    u = rng.normal(size=10)
+    beta_s = attractor_term(state.w, cfg.partition, cfg.mode)
+    own = step(state, cfg, u, 0.4, 0.02, 1e-3)
+    shared = step(state, cfg, u, 0.4, 0.02, 1e-3, beta_s)
+    assert_array_equal(shared.w, own.w)
+    assert shared.last_error == own.last_error
+
+
 def test_plain_lms_mode_ignores_attractor():
     # a plain-LMS config never applies the shrinkage term, whatever rho says
     rng = np.random.default_rng(2)
@@ -208,62 +232,21 @@ def test_subvector_form_equals_vector_form(tag):
 
 
 # ---------------------------------------------------------------------------
-# run_sequence
+# step loops
 
 
-def test_run_sequence_empty_stream():
-    cfg = _lms_config(4, 2)
-    assert list(run_sequence(cfg, [])) == []
+def test_step_loop_propagates_divergence():
+    """A diverging fold stops with the index of the update that blew up."""
+    cfg = FilterConfig(L=2, partition=GroupPartition.contiguous(2, 1), mu=1.0)
+    state = initial_state(2)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as exc:
+        for _ in range(3):
+            state = step(state, cfg, np.array([1e150, 0.0]), 1e150, cfg.mu, cfg.rho)
+    # the first update lands at 1e300; the second overflows
+    assert exc.value.iteration == state.n == 1
 
 
-def test_run_sequence_matches_manual_fold():
-    rng = np.random.default_rng(17)
-    cfg = _mode_config(6, GZA, group_size=3, mu=0.05, rho=1e-3)
-    samples = _random_samples(rng, 6, 50)
-    states = list(run_sequence(cfg, samples))
-    state = initial_state(6)
-    for (u, d), out in zip(samples, states):
-        state = step(state, cfg, u, d, cfg.mu, cfg.rho)
-        assert_array_equal(out.w, state.w)
-    assert states[-1].n == 50
-
-
-def test_run_sequence_variable_needs_param_source():
-    cfg = FilterConfig(
-        L=4, partition=GroupPartition.contiguous(4, 2), variable_params=True
-    )
-    with pytest.raises(ValueError):
-        list(run_sequence(cfg, []))
-
-
-def test_run_sequence_param_source_receives_error():
-    """The hook sees the a-priori error of the very state it parameterizes."""
-    rng = np.random.default_rng(3)
-    cfg = FilterConfig(
-        L=4, partition=GroupPartition.contiguous(4, 2), variable_params=True
-    )
-    seen = []
-
-    def source(state, u, e):
-        seen.append((state.n, e))
-        return 0.01, 0.0
-
-    samples = _random_samples(rng, 4, 5)
-    states = list(run_sequence(cfg, samples, source))
-    assert [n for n, _ in seen] == [0, 1, 2, 3, 4]
-    for (_, e_hook), state in zip(seen, states):
-        assert state.last_error == e_hook
-
-
-def test_run_sequence_propagates_divergence():
-    cfg = _lms_config(2, 1)
-    cfg = FilterConfig(L=2, partition=cfg.partition, mu=10.0)
-    huge = [(np.array([1e200, 0.0]), 1e200)] * 3
-    with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-        list(run_sequence(cfg, huge))
-
-
-def test_run_sequence_lms_steady_state_bound():
+def test_lms_steady_state_bound():
     """Small-step LMS on a constant plant lands near the theoretical floor.
 
     The weight-error power after convergence should sit around
@@ -275,11 +258,11 @@ def test_run_sequence_lms_steady_state_bound():
     plant = rng.normal(size=L)
     cfg = FilterConfig(L=L, partition=GroupPartition.contiguous(L, 4), mu=mu)
     x = rng.normal(size=10_000 + L - 1)
-    state = None
+    state = initial_state(L)
     for n in range(10_000):
         u = x[n : n + L][::-1].copy()
         d = float(np.dot(u, plant)) + rng.normal(0.0, np.sqrt(sigma_z2))
-        state = step(state if state else initial_state(L), cfg, u, d, mu, 0.0)
+        state = step(state, cfg, u, d, mu, 0.0)
     err = state.w - plant
     assert float(np.dot(err, err)) < 10.0 * sigma_z2 * mu * L * 1.0 / 2.0
 
@@ -291,10 +274,9 @@ def test_run_sequence_lms_steady_state_bound():
 def test_reduction_rho_zero_trajectories_bitwise_equal():
     rng = np.random.default_rng(31)
     samples = _random_samples(rng, 10, 400)
-    lms = [s.w for s in run_sequence(FilterConfig(10, GroupPartition.contiguous(10, 5), mu=0.02), samples)]
+    lms = _fixed_trajectory(FilterConfig(10, GroupPartition.contiguous(10, 5), mu=0.02), samples)
     for tag in (GZA, GRZA):
-        cfg = _mode_config(10, tag, mu=0.02, rho=0.0)
-        traj = [s.w for s in run_sequence(cfg, samples)]
+        traj = _fixed_trajectory(_mode_config(10, tag, mu=0.02, rho=0.0), samples)
         for a, b in zip(lms, traj):
             assert_array_equal(a, b)
 
@@ -306,12 +288,12 @@ def test_reduction_beta_one_grza_equals_gza():
     gza_cfg = _mode_config(10, GZA, mu=0.02, rho=1e-3)
     samples = _random_samples(rng, 10, 400)
     w_forced = np.zeros(10)
-    for (u, d), ref_state in zip(samples, run_sequence(gza_cfg, samples)):
+    for (u, d), ref_w in zip(samples, _fixed_trajectory(gza_cfg, samples)):
         e = d - np.dot(w_forced, u)
         beta_s = expand_group_vector(np.ones(p.J), p) * attractor_direction(w_forced, p)
         w_forced = w_forced + (0.02 * e) * u
         w_forced -= 1e-3 * beta_s
-        assert_array_equal(w_forced, ref_state.w)
+        assert_array_equal(w_forced, ref_w)
 
 
 def test_reduction_singletons_match_elementwise_sign_attractor():
@@ -320,9 +302,9 @@ def test_reduction_singletons_match_elementwise_sign_attractor():
     cfg = _mode_config(8, GZA, group_size=1, mu=0.03, rho=5e-4)
     samples = _random_samples(rng, 8, 400)
     w_ref = np.zeros(8)
-    for (u, d), state in zip(samples, run_sequence(cfg, samples)):
+    for (u, d), w in zip(samples, _fixed_trajectory(cfg, samples)):
         e = d - np.dot(w_ref, u)
         sign = np.where(np.abs(w_ref) > ZERO_GROUP_TOL, np.sign(w_ref), 0.0)
         w_ref = w_ref + (0.03 * e) * u
         w_ref -= 5e-4 * sign
-        assert_array_equal(w_ref, state.w)
+        assert_array_equal(w_ref, w)

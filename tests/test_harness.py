@@ -2,12 +2,20 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from gslms.config import AlgorithmSpec, ExperimentConfig, config_hash, parse_config
+import gslms.filters
+import gslms.harness
+import gslms.varparam
+from gslms.config import (
+    AlgorithmSpec, ExperimentConfig, builtin_config, config_hash, parse_config,
+)
+from gslms.filters import FilterConfig, initial_state, step
+from gslms.groups import AttractorMode, GroupPartition
 from gslms.harness import (
     STEADY_STATE_WINDOW,
     LearningCurve,
@@ -17,7 +25,8 @@ from gslms.harness import (
     stage_windows,
     steady_state_db,
 )
-from gslms.signals import benchmark_schedule
+from gslms.signals import benchmark_schedule, scalar_stream, simulate_plant
+from gslms.varparam import VpState, vp_iteration
 
 
 def _small_cfg(**kw):
@@ -45,7 +54,7 @@ def test_zero_iterations_gives_empty_curves():
     assert len(curves) == 2
     for c in curves:
         assert c.msd.shape == (0,)
-        assert c.runs_used == 1
+        assert c.metadata["runs_used"] == 1
         assert c.metadata["master_seed"] == 4242
         assert c.metadata["iterations"] == 0
 
@@ -127,10 +136,10 @@ def test_diverged_runs_are_counted_and_excluded():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         unstable, stable = run_experiment(cfg)
-    assert unstable.diverged_runs == 2
-    assert unstable.runs_used == 0
-    assert stable.diverged_runs == 0
-    assert stable.runs_used == 2
+    assert unstable.metadata["diverged_runs"] == 2
+    assert unstable.metadata["runs_used"] == 0
+    assert stable.metadata["diverged_runs"] == 0
+    assert stable.metadata["runs_used"] == 2
     assert np.all(np.isfinite(stable.msd))
 
 
@@ -144,8 +153,69 @@ def test_learning_curve_rejects_negative_msd():
     with pytest.raises(ValueError):
         LearningCurve(
             name="x", msd=np.array([-1.0]), mu_trace=None, lambda_trace=None,
-            runs_used=1, diverged_runs=0, metadata={},
+            metadata={},
         )
+
+
+def test_attractor_evaluated_once_per_step(monkeypatch):
+    """exp1 has two fixed and two VP attractor algorithms out of five: each
+    evaluates the attractor once per step, the VP ones sharing it between
+    ``vp_iteration`` and ``step``."""
+    calls = {}
+
+    def count(module, attr, key):
+        original = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, counted)
+
+    count(gslms.harness, "step", "step")
+    count(gslms.harness, "vp_iteration", "vp_iteration")
+    count(gslms.filters, "attractor_term", "attractor_term")
+    count(gslms.varparam, "attractor_term", "attractor_term")
+    run_experiment(replace(builtin_config("exp1"), runs=1, iterations=200))
+    assert calls == {"step": 1000, "vp_iteration": 400, "attractor_term": 800}
+
+
+def test_single_loop_matches_reference_step_fold():
+    """The harness loop, which shares one attractor evaluation per step, is
+    bit-identical to folding ``vp_iteration``/``step`` as the library
+    documents it, each evaluating the attractor itself."""
+    cfg = _small_cfg(
+        runs=1,
+        iterations=400,
+        algorithms=(
+            AlgorithmSpec(name="grza", mode="grza", mu=0.02, rho=1e-4),
+            AlgorithmSpec(name="vp-gza", mode="gza", variable=True),
+            AlgorithmSpec(name="vp-grza", mode="grza", variable=True),
+        ),
+    )
+    curves = run_experiment(cfg)
+    schedule = experiment_schedule(cfg)
+    x = scalar_stream(cfg.input, cfg.iterations, [cfg.master_seed, 0, 0])
+    stream = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, 0, 1])
+    target = schedule.plant_matrix()[stream.plant_index]
+    partition = GroupPartition.contiguous(schedule.L, cfg.group_size)
+    for spec, curve in zip(cfg.algorithms, curves):
+        fcfg = FilterConfig(schedule.L, partition, AttractorMode(spec.mode, cfg.epsilon),
+                            mu=spec.mu, rho=spec.rho, variable_params=spec.variable)
+        vp = VpState.for_filter(schedule.L, cfg.sigma_z2, cfg.sigma_u2)
+        state = initial_state(schedule.L)
+        msd, mus = [], []
+        for u, d, w_star in zip(stream.U, stream.d, target):
+            mu_n, rho_n = fcfg.mu, fcfg.rho
+            if spec.variable:
+                e = d - np.dot(state.w, u)
+                mu_n, rho_n = vp_iteration(vp, state, fcfg, u, float(e))
+                mus.append(mu_n)
+            state = step(state, fcfg, u, d, mu_n, rho_n)
+            msd.append(np.dot(state.w - w_star, state.w - w_star))
+        assert_array_equal(curve.msd, msd)
+        if spec.variable:
+            assert_array_equal(curve.mu_trace, mus)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Unit tests for input, noise and plant generation."""
 
-import csv
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -13,7 +11,6 @@ from gslms.signals import (
     WhiteGaussian,
     benchmark_plants,
     benchmark_schedule,
-    export_plants_csv,
     gen_ar1_mixture,
     gen_white_gaussian,
     scalar_stream,
@@ -195,21 +192,6 @@ def test_third_plant_zero_block():
     assert np.all(w3[:10] != 0.0) and np.all(w3[25:] != 0.0)
 
 
-def test_export_plants_csv_round_trip(tmp_path):
-    path = tmp_path / "plants.csv"
-    export_plants_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "w_star_1", "w_star_2", "w_star_3"]
-    assert len(rows) == 36
-    w1, w2, w3 = benchmark_plants()
-    for i, row in enumerate(rows[1:]):
-        assert int(row[0]) == i + 1
-        assert float(row[1]) == w1[i]
-        assert float(row[2]) == w2[i]
-        assert float(row[3]) == w3[i]
-
-
 # ---------------------------------------------------------------------------
 # plant simulation
 
@@ -281,17 +263,3 @@ def test_simulate_empty_stream():
     stream = simulate_plant(_single_plant(np.zeros(3), 0), np.empty(0), 0.01, noise_seed=0)
     assert stream.U.shape == (0, 3)
     assert stream.d.shape == (0,)
-
-
-def test_stream_rows_iterate_triples():
-    sched = benchmark_schedule((1, 3), total_iterations=5)
-    x = np.arange(1.0, 6.0)
-    stream = simulate_plant(sched, x, 0.0, noise_seed=0)
-    rows = list(stream.rows())
-    assert len(rows) == 5
-    w1, w2, _ = benchmark_plants()
-    assert_array_equal(rows[0][2], w1)
-    assert_array_equal(rows[2][2], w2)
-    for i, (u, d, w_star) in enumerate(rows):
-        assert_array_equal(u, stream.U[i])
-        assert d == stream.d[i]

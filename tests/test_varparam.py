@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gslms.filters import FilterConfig, initial_state, step
-from gslms.groups import GRZA, GZA, AttractorMode, GroupPartition
+from gslms.groups import GRZA, GZA, AttractorMode, GroupPartition, attractor_term
 from gslms.varparam import (
     ModelError,
     MomentEstimates,
@@ -391,6 +391,22 @@ def test_first_iteration_with_default_smoothing_is_finite():
     mu_1, rho_1 = vp_iteration(vp, initial_state(35), cfg, np.ones(35), 1.0)
     assert math.isfinite(mu_1) and mu_1 >= 0.0
     assert math.isfinite(rho_1) and rho_1 >= 0.0
+
+
+@pytest.mark.parametrize("tag", [GZA, GRZA])
+def test_iteration_with_precomputed_attractor_is_bitwise_equal(tag):
+    """Handing in the attractor product at ``state.w`` changes nothing."""
+    rng = np.random.default_rng(19)
+    vp_own, cfg = _iteration_setup(L=10, tag=tag)
+    vp_shared, _ = _iteration_setup(L=10, tag=tag)
+    state = initial_state(10)
+    state = step(state, cfg, rng.normal(size=10), 1.0, 0.05, 0.0)
+    u = rng.normal(size=10)
+    beta_s = attractor_term(state.w, cfg.partition, cfg.mode)
+    own = vp_iteration(vp_own, state, cfg, u, 0.7)
+    shared = vp_iteration(vp_shared, state, cfg, u, 0.7, beta_s)
+    assert own == shared
+    assert vars(vp_own) == vars(vp_shared)
 
 
 def test_zero_input_decays_without_nan():
