@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -105,6 +106,8 @@ def _resolve_output_dir(cfg, args) -> str:
 
 def _cmd_experiment(cfg, args) -> int:
     cfg = _apply_overrides(cfg, args)
+    if not cfg.algorithms:
+        raise ConfigError("the config has no [algorithm:NAME] section, so there is nothing to run")
     curves = run_experiment(cfg, workers=args.workers)
     out_dir = _resolve_output_dir(cfg, args)
     paths = emit_curves(curves, cfg, out_dir)
@@ -156,18 +159,25 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 1
 
 
-def _check_counts(args) -> None:
-    """Reject a count flag below its least value before any work starts."""
-    for name, least in (("workers", 1), ("horizon", 1), ("ensemble", 2)):
+def _check_flags(args) -> None:
+    """Reject a flag value the command cannot run with, before any work
+    starts: a count or seed below its least value, or a noise variance,
+    step size or shrinkage that is negative or not finite."""
+    for name, least in (("workers", 1), ("horizon", 1), ("ensemble", 2), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise ConfigError(f"--{name} must be at least {least}, got {value}")
+    for name in ("sigma_z2", "mu", "rho"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} must be finite and non-negative, got {value}")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_counts(args)
+        _check_flags(args)
         if args.command == "run":
             return _cmd_experiment(load_config(args.config), args)
         if args.command.startswith("paper-"):

@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("noise variance must be nonnegative")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be non-negative, got {self.master_seed}")
         names = [a.name for a in self.algorithms]
         if len(set(names)) != len(names):
             raise ConfigError("algorithm names must be unique")

@@ -4,6 +4,10 @@ The mixed l1/l2 norm, the log-sum group penalty, the per-group attractor
 direction and the reweighting coefficients that drive the zero-attracting
 updates all live here.  All operations are pure functions of their inputs;
 :class:`GroupPartition` is immutable after construction.
+
+Every operator acts on the last axis, so ``w`` may be one weight vector of
+shape ``(L,)`` or a stack of them of shape ``(..., L)``; each row of a
+stacked result is bit-identical to the call on that row alone.
 """
 
 from __future__ import annotations
@@ -123,27 +127,27 @@ class GroupPartition:
 
 def _check_length(w: np.ndarray, p: GroupPartition) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
-    if w.shape != (p.L,):
-        raise ValueError(f"expected vector of length {p.L}, got shape {w.shape}")
+    if w.ndim < 1 or w.shape[-1] != p.L:
+        raise ValueError(f"expected vectors of length {p.L}, got shape {w.shape}")
     return w
 
 
 def group_norms(w: np.ndarray, p: GroupPartition) -> np.ndarray:
-    """Per-group Euclidean norms, as a length-J array."""
+    """Per-group Euclidean norms, shape ``(..., J)``."""
     w = _check_length(w, p)
-    return np.sqrt(np.add.reduceat(w * w, p.starts))
+    return np.sqrt(np.add.reduceat(w * w, p.starts, axis=-1))
 
 
-def l12_norm(w: np.ndarray, p: GroupPartition) -> float:
-    """Sum of per-group Euclidean norms (the mixed l1/l2 norm)."""
-    return float(group_norms(w, p).sum())
+def l12_norm(w: np.ndarray, p: GroupPartition):
+    """Sum of per-group Euclidean norms (the mixed l1/l2 norm), per vector."""
+    return group_norms(w, p).sum(axis=-1)
 
 
-def log_sum_penalty(w: np.ndarray, p: GroupPartition, epsilon: float) -> float:
-    """Sum over groups of ``log(1 + ||w_g|| / epsilon)``."""
+def log_sum_penalty(w: np.ndarray, p: GroupPartition, epsilon: float):
+    """Sum over groups of ``log(1 + ||w_g|| / epsilon)``, per vector."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    return float(np.log1p(group_norms(w, p) / epsilon).sum())
+    return np.log1p(group_norms(w, p) / epsilon).sum(axis=-1)
 
 
 def attractor_direction(w: np.ndarray, p: GroupPartition) -> np.ndarray:
@@ -157,42 +161,43 @@ def attractor_direction(w: np.ndarray, p: GroupPartition) -> np.ndarray:
     norms = group_norms(w, p)
     # Dividing by +inf sends zero groups to exactly 0 without branching.
     safe = np.where(norms > ZERO_GROUP_TOL, norms, np.inf)
-    return w / np.repeat(safe, p.sizes)
+    return w / safe.repeat(p.sizes, axis=-1)
 
 
 def beta_weights(w: np.ndarray, p: GroupPartition, mode: AttractorMode) -> np.ndarray:
     """Per-group attractor weights: all ones for GZA, ``1/(||w_g|| + eps)``
     for GRZA (so each weight lies in ``(0, 1/eps]``)."""
     if mode.tag == GZA:
-        _check_length(w, p)
-        return np.ones(p.J)
+        w = _check_length(w, p)
+        return np.ones(w.shape[:-1] + (p.J,))
     return 1.0 / (group_norms(w, p) + mode.epsilon)
 
 
 def expand_group_vector(per_group: np.ndarray, p: GroupPartition) -> np.ndarray:
     """Replicate one value per group across that group's indices."""
     per_group = np.asarray(per_group, dtype=np.float64)
-    if per_group.shape != (p.J,):
+    if per_group.ndim < 1 or per_group.shape[-1] != p.J:
         raise ValueError(
             f"expected one entry per group ({p.J}), got shape {per_group.shape}"
         )
-    return np.repeat(per_group, p.sizes)
+    return np.repeat(per_group, p.sizes, axis=-1)
 
 
 def attractor_term(w: np.ndarray, p: GroupPartition, mode: AttractorMode) -> np.ndarray:
     """The Hadamard product of expanded beta weights and attractor direction.
 
     This is the length-L vector subtracted (scaled by the shrinkage
-    parameter) in the zero-attracting updates.  Bit-identical to composing
+    parameter) in the zero-attracting updates; a ``(..., L)`` stack gives
+    one such vector per row.  Bit-identical to composing
     :func:`expand_group_vector`, :func:`beta_weights` and
     :func:`attractor_direction` by hand, but computes the group norms once.
     """
     w = _check_length(w, p)
-    norms = np.sqrt(np.add.reduceat(w * w, p.starts))
+    norms = np.sqrt(np.add.reduceat(w * w, p.starts, axis=-1))
     safe = np.where(norms > ZERO_GROUP_TOL, norms, np.inf)
-    s = w / np.repeat(safe, p.sizes)
+    s = w / safe.repeat(p.sizes, axis=-1)
     if mode.tag == GZA:
         # beta is identically one; multiplying by it would be a bit-exact no-op.
         return s
     beta = 1.0 / (norms + mode.epsilon)
-    return np.repeat(beta, p.sizes) * s
+    return beta.repeat(p.sizes, axis=-1) * s

@@ -1,9 +1,11 @@
 """Monte-Carlo experiment runner and curve emitter.
 
 One run = one realization of the input/noise pair, shared by every configured
-algorithm (paired comparison).  Runs are independent work items; partial
-results are merged in run-index order so the ensemble average is bit-identical
-no matter how many worker processes participate.
+algorithm (paired comparison).  Runs are advanced in blocks of at most
+``BLOCK_RUNS``, every algorithm and run of a block as one stacked state; the
+blocks depend only on the run count, and their sums are merged in block order,
+so the ensemble average is bit-identical no matter how many worker processes
+participate.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,10 +21,9 @@ import numpy as np
 
 from . import __version__, filters
 from .config import ExperimentConfig, config_hash, serialize_config
-from .filters import DivergenceError, FilterConfig, initial_state, step
-from .groups import AttractorMode, GroupPartition
+from .groups import GRZA, GZA, AttractorMode, GroupPartition
 from .signals import PlantSchedule, benchmark_schedule, scalar_stream, simulate_plant
-from .varparam import VpState, vp_iteration
+from .varparam import _VpRows, _vp_rows_iteration
 
 __all__ = [
     "LearningCurve",
@@ -33,6 +35,12 @@ __all__ = [
 ]
 
 STEADY_STATE_WINDOW = 1000
+# Runs advanced together as one state.  At 20 runs x 5 algorithms the
+# per-step numpy call overhead is spread over 100 filter rows.
+BLOCK_RUNS = 20
+# Steps whose per-row values a block buffers before adding them to its sums:
+# a block's memory does not grow with the iteration count beyond the sums.
+CHUNK_STEPS = 256
 
 
 @dataclass
@@ -69,70 +77,164 @@ def experiment_schedule(cfg: ExperimentConfig) -> PlantSchedule:
     return benchmark_schedule(switches, cfg.iterations)
 
 
-def _execute_algorithm(spec, fcfg, cfg, stream, target):
-    """One algorithm over one realization; returns (msd, mu, lambda) arrays.
+def _blocks(runs: int) -> list[tuple[int, int]]:
+    """Contiguous, near-equal ``(first, count)`` run blocks of at most
+    :data:`BLOCK_RUNS` runs; they depend on ``runs`` alone."""
+    n = -(-runs // BLOCK_RUNS)
+    base, extra = divmod(runs, n)
+    out, first = [], 0
+    for k in range(n):
+        count = base + (k < extra)
+        out.append((first, count))
+        first += count
+    return out
 
-    Fixed algorithms apply ``(fcfg.mu, fcfg.rho)``, variable ones ask
-    ``vp_iteration``.  The attractor is evaluated once per step and shared.
+
+# Row order inside a block, by (variable, mode): each attractor mode's rows
+# and the variable rows are contiguous, so every subset a step reads or
+# writes is a slice (a view), never a gathered copy.
+_ROW_RANK = {(False, None): 0, (False, GZA): 1, (True, GZA): 2,
+             (True, None): 3, (True, GRZA): 4, (False, GRZA): 5}
+
+
+def _rank_slice(ranks: list[int], lo: int, hi: int) -> slice:
+    return slice(bisect_left(ranks, lo), bisect_right(ranks, hi))
+
+
+def _advance_block(cfg: ExperimentConfig, first: int, count: int,
+                   dropped: frozenset = frozenset()):
+    """Every algorithm over runs ``first .. first+count-1`` as one state.
+
+    The weights are an ``(A, R, L)`` stack (algorithms x runs x taps), and
+    each time step is one set of numpy operations over the whole stack.
+    Row ``(a, r)`` is bit-identical to folding ``filters.step`` (and
+    ``varparam.vp_iteration``) over run ``first + r`` alone: every row dot
+    product is a ``vecdot``, which is ``np.dot`` on each row.
+
+    Returns the runs' input powers and, per algorithm name, ``(msd, mu,
+    lambda, runs_used, diverged)``: the first three are sums over the
+    block's runs, added in run order, that leave out the ``(name, run)``
+    pairs in ``dropped`` (``mu``/``lambda`` are None for fixed algorithms).
+    ``diverged`` lists ``[run, iteration]`` for each row whose update left
+    the finite range, the iteration being the 0-based index of that update
+    (as ``DivergenceError.iteration``); such a row restarts from zero, and
+    no other row changes.
     """
-    N = cfg.iterations
-    msd = np.empty(N)
-    state = initial_state(fcfg.L)
-    mu_n, rho_n = fcfg.mu, fcfg.rho
-    mu_tr = lam_tr = vp = beta_s = None
-    if spec.variable:
-        vp = VpState.for_filter(
-            fcfg.L, cfg.sigma_z2, cfg.sigma_u2,
-            gamma=spec.gamma, gamma_prime=spec.gamma_prime, mu_max=spec.mu_max,
-        )
-        mu_tr, lam_tr = np.empty(N), np.empty(N)
-    attract = fcfg.mode is not None and (vp is not None or rho_n != 0.0)
-    for i in range(N):
-        u = stream.U[i]
-        d = stream.d[i]
-        if attract:
-            # Looked up on ``filters`` so a wrapper installed there (the
-            # perfbench tracer) sees every evaluation.
-            beta_s = filters.attractor_term(state.w, fcfg.partition, fcfg.mode)
-        if vp is not None:
-            e = d - np.dot(state.w, u)
-            mu_n, rho_n = vp_iteration(vp, state, fcfg, u, float(e), beta_s)
-            mu_tr[i] = mu_n
-            lam_tr[i] = rho_n / mu_n if mu_n != 0.0 else 0.0
-        state = step(state, fcfg, u, d, mu_n, rho_n, beta_s)
-        diff = state.w - target[i]
-        msd[i] = np.dot(diff, diff)
-    return msd, mu_tr, lam_tr
-
-
-def _run_single(args: tuple[ExperimentConfig, int]):
-    """Worker: all algorithms on the paired streams of one Monte-Carlo run."""
-    cfg, run_index = args
     schedule = experiment_schedule(cfg)
-    partition = GroupPartition.contiguous(schedule.L, cfg.group_size)
-    x_seed = [cfg.master_seed, run_index, 0]
-    z_seed = [cfg.master_seed, run_index, 1]
-    x = scalar_stream(cfg.input, cfg.iterations, x_seed)
-    stream = simulate_plant(schedule, x, cfg.sigma_z2, z_seed)
-    target = schedule.plant_matrix()[stream.plant_index]
-    power = float(np.mean(x * x)) if x.size else 0.0
+    L, N, A, R = schedule.L, cfg.iterations, len(cfg.algorithms), count
+    partition = GroupPartition.contiguous(L, cfg.group_size)
+    # Row r of ``xr`` is run r's input reversed and zero-padded, so the
+    # tapped-delay regressors of sample i are the windows xr[:, N-1-i:][:, :L].
+    xr = np.zeros((R, N + L - 1))
+    d = np.empty((N, R))
+    powers = []
+    for k, run in enumerate(range(first, first + count)):
+        x = scalar_stream(cfg.input, N, [cfg.master_seed, run, 0])
+        d[:, k] = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, run, 1]).d
+        xr[k, :N] = x[::-1]
+        powers.append(float(np.mean(x * x)) if x.size else 0.0)
+
+    specs = sorted(cfg.algorithms, key=lambda s: _ROW_RANK[s.variable, s.mode])
+    ranks = [_ROW_RANK[s.variable, s.mode] for s in specs]
+    variable = _rank_slice(ranks, 2, 4)
+    vp = _VpRows.fresh(L, cfg.sigma_z2, cfg.sigma_u2, specs[variable], R)
+    V = len(specs[variable])
+    # One attractor evaluation per mode and step.  A fixed row with rho = 0
+    # gets one too: its weights are never -0.0, so subtracting 0 * beta_s
+    # leaves them bit for bit as an update without the term would.
+    attractors = [(rows, AttractorMode(tag, cfg.epsilon))
+                  for rows, tag in ((_rank_slice(ranks, 1, 2), GZA),
+                                    (_rank_slice(ranks, 4, 5), GRZA))
+                  if rows.stop > rows.start]
+    mu = np.repeat(np.array([[s.mu] for s in specs]), R, axis=1)
+    rho = np.repeat(np.array([[s.rho if s.mode else 0.0] for s in specs]), R, axis=1)
+    # Plain-LMS rows keep a zero attractor, so ``rho * beta_s`` is zero there.
+    beta_s = np.zeros((A, R, L))
+    w = np.zeros((A, R, L))
+    live = np.ones((A, R), dtype=bool)
+    diverged_at = np.full((A, R), -1)
+    counted = np.array([[(s.name, first + r) not in dropped for r in range(R)] for s in specs])
+
+    # Per-row values wait in a buffer of CHUNK_STEPS steps, then each run's
+    # rows are added to the sums in run order; an uncounted row adds +0.0,
+    # which leaves a sum of non-negative terms unchanged.
+    msd_sum, mu_sum, lam_sum = np.zeros((N, A)), np.zeros((N, V)), np.zeros((N, V))
+    msd_buf = np.empty((CHUNK_STEPS, A, R))
+    mu_buf = np.empty((CHUNK_STEPS, V, R))
+    rho_buf = np.empty((CHUNK_STEPS, V, R))
+
+    def add_chunk(lo, hi):
+        n = hi - lo
+        for r in range(R):
+            msd_sum[lo:hi] += np.where(counted[:, r], msd_buf[:n, :, r], 0.0)
+            if V:
+                mu_r, keep = mu_buf[:n, :, r], counted[variable, r]
+                mu_sum[lo:hi] += np.where(keep, mu_r, 0.0)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    lam_sum[lo:hi] += np.where(keep & (mu_r != 0.0), rho_buf[:n, :, r] / mu_r, 0.0)
+
+    for (lo, hi), (_, w_star) in zip(schedule.stage_bounds(), schedule.segments):
+        for i in range(lo, hi):
+            j = i % CHUNK_STEPS
+            u = xr[:, N - 1 - i:N - 1 - i + L]
+            e = d[i] - np.vecdot(w, u)
+            for rows, mode in attractors:
+                # Looked up on ``filters`` so a wrapper installed there (the
+                # perfbench tracer) sees every evaluation.
+                beta_s[rows] = filters.attractor_term(w[rows], partition, mode)
+            if V:
+                mu_v, rho_v = _vp_rows_iteration(vp, u, e[variable], beta_s[variable],
+                                                 live[variable])
+                mu[variable] = mu_buf[j] = mu_v
+                rho[variable] = rho_buf[j] = rho_v
+            w_next = w + (mu * e)[..., None] * u
+            if attractors:
+                w_next -= rho[..., None] * beta_s
+            finite = np.isfinite(w_next.sum(axis=-1))
+            if not finite.all():
+                diverged_at[live & ~finite] = i
+                live &= finite
+                w_next[~finite] = 0.0
+                vp.reset(~finite[variable])
+            diff = w_next - w_star
+            msd_buf[j] = np.vecdot(diff, diff)
+            w = w_next
+            if j == CHUNK_STEPS - 1 or i == N - 1:
+                add_chunk(i - j, i + 1)
+
     out = {}
-    for spec in cfg.algorithms:
-        mode = None if spec.mode is None else AttractorMode(spec.mode, cfg.epsilon)
-        fcfg = FilterConfig(schedule.L, partition, mode, mu=spec.mu, rho=spec.rho,
-                            variable_params=spec.variable)
-        try:
-            out[spec.name] = _execute_algorithm(spec, fcfg, cfg, stream, target)
-        except DivergenceError:
-            out[spec.name] = None
-    return power, out
+    for a, spec in enumerate(specs):
+        v = a - variable.start
+        traces = (mu_sum[:, v], lam_sum[:, v]) if spec.variable else (None, None)
+        used = sum((spec.name, run) not in dropped for run in range(first, first + count))
+        diverged = [[first + int(r), int(diverged_at[a, r])]
+                    for r in np.flatnonzero(diverged_at[a] >= 0)]
+        out[spec.name] = (msd_sum[:, a].copy(), *traces, used, diverged)
+    return powers, out
+
+
+def _run_block(args: tuple[ExperimentConfig, int, int]):
+    """Worker: one run block's input powers and per-algorithm sums over its
+    surviving runs (see :func:`_advance_block`)."""
+    cfg, first, count = args
+    powers, out = _advance_block(cfg, first, count)
+    failed = frozenset((name, run) for name, (*_, diverged) in out.items() for run, _ in diverged)
+    if failed:
+        # A row can fail after its earlier steps were added to the sums.
+        # Rows are independent, so a second pass that leaves the failed
+        # rows out from the start gives the sums over the survivors.
+        powers, out = _advance_block(cfg, first, count, failed)
+    return powers, out
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurve]:
     """Average the configured algorithms over ``cfg.runs`` paired realizations.
 
-    A diverged run is dropped from that algorithm's average (and counted);
-    the other algorithms keep the run.
+    The runs are split into blocks (:func:`_blocks`) whose per-algorithm
+    sums are added in block order, so the result does not depend on
+    ``workers``.  A diverged run is dropped from that algorithm's average
+    and recorded with the iteration it failed at; the other algorithms keep
+    the run.
     """
     if not cfg.algorithms:
         raise ValueError("experiment config lists no algorithms")
@@ -141,27 +243,27 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
     mu_sums = {a.name: np.zeros(N) for a in cfg.algorithms if a.variable}
     lam_sums = {a.name: np.zeros(N) for a in cfg.algorithms if a.variable}
     used = {a.name: 0 for a in cfg.algorithms}
+    diverged = {a.name: [] for a in cfg.algorithms}
     power_sum = 0.0
 
-    tasks = [(cfg, r) for r in range(cfg.runs)]
-    if workers <= 1:
-        results = map(_run_single, tasks)
+    tasks = [(cfg, first, count) for first, count in _blocks(cfg.runs)]
+    if workers <= 1 or len(tasks) == 1:
+        results = map(_run_block, tasks)
         pool = None
     else:
-        pool = multiprocessing.Pool(processes=workers)
-        results = pool.imap(_run_single, tasks)
+        pool = multiprocessing.Pool(processes=min(workers, len(tasks)))
+        results = pool.imap(_run_block, tasks)
     try:
-        for power, per_alg in results:
-            power_sum += power
-            for name, payload in per_alg.items():
-                if payload is None:
-                    continue
-                msd, mu_tr, lam_tr = payload
+        for powers, per_alg in results:
+            for power in powers:
+                power_sum += power
+            for name, (msd, mu_tr, lam_tr, n_used, failed) in per_alg.items():
                 sums[name] += msd
                 if mu_tr is not None:
                     mu_sums[name] += mu_tr
                     lam_sums[name] += lam_tr
-                used[name] += 1
+                used[name] += n_used
+                diverged[name] += failed
     finally:
         if pool is not None:
             pool.close()
@@ -186,6 +288,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
             "runs": cfg.runs,
             "runs_used": n_used,
             "diverged_runs": cfg.runs - n_used,
+            "diverged": diverged[spec.name],
             "iterations": cfg.iterations,
             "measured_input_power": measured_power,
         }
@@ -258,6 +361,7 @@ def emit_curves(curves: list[LearningCurve], cfg: ExperimentConfig,
             "file": fname,
             "runs_used": curve.metadata["runs_used"],
             "diverged_runs": curve.metadata["diverged_runs"],
+            "diverged": curve.metadata["diverged"],
         })
     manifest = {
         "version": __version__,

@@ -274,3 +274,116 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
     mu_n, rho_n = smooth_and_clamp(vp, mu_star, rho_star)
     propagate_model_msd(vp, m, mu_n, rho_n)
     return mu_n, rho_n
+
+
+@dataclass
+class _VpRows:
+    """:class:`VpState` for a stack of filters, one entry per row.
+
+    Every field is a ``(V, R)`` array: the smoothing factors and the
+    step-size cap repeat each algorithm's value across its runs (same-shape
+    operands are cheaper than broadcasting), and ``keep``/``keep_prime``
+    hold ``1 - gamma``/``1 - gamma'``.
+    """
+
+    L: int
+    sigma_z2: float
+    sigma_u2: float
+    gamma: np.ndarray
+    gamma_prime: np.ndarray
+    mu_max: np.ndarray
+    e_smooth: np.ndarray
+    zeta_min: np.ndarray
+    mu_prev: np.ndarray
+    rho_prev: np.ndarray
+
+    def __post_init__(self):
+        self.keep = 1.0 - self.gamma
+        self.keep_prime = 1.0 - self.gamma_prime
+
+    @classmethod
+    def fresh(cls, L: int, sigma_z2: float, sigma_u2: float, specs, runs: int) -> "_VpRows":
+        """Initial memory for ``runs`` runs of each spec (anything with
+        ``gamma``, ``gamma_prime`` and ``mu_max`` attributes, as
+        :meth:`VpState.for_filter` takes them)."""
+        def rows(values):
+            return np.repeat(np.array(values, dtype=np.float64).reshape(-1, 1), runs, axis=1)
+
+        mu_max = [default_mu_max(sigma_u2, L) if s.mu_max is None else s.mu_max for s in specs]
+        memory = [np.zeros((len(specs), runs)) for _ in range(4)]
+        return cls(L, sigma_z2, sigma_u2, rows([s.gamma for s in specs]),
+                   rows([s.gamma_prime for s in specs]), rows(mu_max), *memory)
+
+    def reset(self, rows) -> None:
+        """Back to the fresh state on the boolean ``(V, R)`` mask ``rows``."""
+        for arr in (self.e_smooth, self.zeta_min, self.mu_prev, self.rho_prev):
+            arr[rows] = 0.0
+
+
+_TINY = np.finfo(np.float64).tiny
+
+
+def _py_max(a, b):
+    """Elementwise ``max(a, b)`` with Python's tie and NaN rules (signed
+    zeros included, which ``np.maximum`` does not promise)."""
+    return np.where(b > a, b, a)
+
+
+def _vp_rows_iteration(vp: _VpRows, u, e, beta_s, live):
+    """:func:`vp_iteration` on every row at once; returns ``(mu, rho)``.
+
+    ``u`` is ``(R, L)``, ``e`` ``(V, R)``, ``beta_s`` ``(V, R, L)`` (zero rows
+    for plain-LMS algorithms).  Each row repeats the scalar chain's
+    floating-point operations in the same order, so every entry is
+    bit-identical to a :func:`vp_iteration` call on that row.  Only rows
+    marked in ``live`` can raise :class:`ModelError`.
+    """
+    # estimate_emse
+    vp.e_smooth = vp.keep * e + vp.gamma * vp.e_smooth
+    zeta = _py_max(vp.e_smooth * vp.e_smooth - vp.sigma_z2, vp.zeta_min)
+    # compute_g, compute_r1, one_step_plant_estimate
+    g = vp.sigma_z2 * vp.sigma_u2 * vp.L + (2.0 + vp.L) * vp.sigma_u2 * zeta
+    r1 = zeta
+    positive = g > 0
+    if not positive.all() and (live & ~positive).any():
+        bad = np.flatnonzero(live & ~positive)[0]
+        raise ModelError(f"normalization moment must be positive, got g={g.flat[bad]}")
+    w_tilde_hat = (-(r1 / g) * e)[..., None] * u
+    # compute_instantaneous_moments
+    h = np.vecdot(beta_s, beta_s)
+    ell = np.vecdot(w_tilde_hat, u) * np.vecdot(u, beta_s)
+    r2 = np.vecdot(beta_s, w_tilde_hat)
+    # solve_optimal_params.  A non-finite g, h or ell makes det non-finite,
+    # so the cheap test only passes when every moment is finite.
+    det = g * h - ell * ell
+    if not np.isfinite(det + r2).all():
+        finite = np.isfinite(g) & np.isfinite(h) & np.isfinite(ell) & np.isfinite(r2)
+        if (live & ~finite).any():
+            k = np.flatnonzero(live & ~finite)[0]
+            m = MomentEstimates(g=float(g.flat[k]), h=float(h.flat[k]), ell=float(ell.flat[k]),
+                                r1=float(r1.flat[k]), r2=float(r2.flat[k]))
+            raise ModelError(f"non-finite moment estimates: {m}")
+    solvable = det > DET_TOL * g * _py_max(h, _TINY)
+    mu_star = r1 / g
+    rho_star = np.zeros(det.shape)
+    np.divide(h * r1 - ell * r2, det, out=mu_star, where=solvable)
+    np.divide(g * r2 - ell * r1, det, out=rho_star, where=solvable)
+    mu_star = _py_max(mu_star, 0.0)
+    rho_star = _py_max(rho_star, 0.0)
+    # smooth_and_clamp
+    mu_n = vp.gamma_prime * vp.mu_prev + vp.keep_prime * mu_star
+    mu_n = np.where(vp.mu_max < mu_n, vp.mu_max, mu_n)
+    rho_n = vp.gamma_prime * vp.rho_prev + vp.keep_prime * rho_star
+    vp.mu_prev = mu_n
+    vp.rho_prev = rho_n
+    # propagate_model_msd, from the re-based model zeta / sigma_u2
+    two_mu = 2.0 * mu_n
+    incr = (
+        mu_n * mu_n * g
+        + rho_n * rho_n * h
+        + two_mu * rho_n * ell
+        - two_mu * r1
+        - 2.0 * rho_n * r2
+    )
+    vp.zeta_min = vp.sigma_u2 * _py_max(zeta / vp.sigma_u2 + incr, 0.0)
+    return mu_n, rho_n

@@ -1,5 +1,7 @@
 """Unit tests for the command-line front end's argument checks."""
 
+import pytest
+
 from gslms.cli import main
 
 
@@ -34,3 +36,63 @@ def test_validate_model_ensemble_below_two_rejected(capsys):
     assert rc == 2
     assert out == ""
     assert err == "error: --ensemble must be at least 2, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate-model", "--sigma-z2", "-1"], "--sigma-z2 must be finite and non-negative, got -1.0"),
+        (["validate-model", "--sigma-z2", "nan"], "--sigma-z2 must be finite and non-negative, got nan"),
+        (["validate-model", "--mu", "-1"], "--mu must be finite and non-negative, got -1.0"),
+        (["validate-model", "--mu", "inf"], "--mu must be finite and non-negative, got inf"),
+        (["validate-model", "--rho", "-1"], "--rho must be finite and non-negative, got -1.0"),
+        (["validate-model", "--rho", "nan"], "--rho must be finite and non-negative, got nan"),
+        (["validate-model", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        (["paper-exp1", "--seed", "-1", "--runs", "1", "--iterations", "10"],
+         "--seed must be at least 0, got -1"),
+    ],
+)
+def test_unrunnable_flag_rejected_before_running(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    if argv[0].startswith("paper-"):
+        argv = argv + ["--output-dir", str(out_dir)]
+    rc, out, err = _rejected(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[experiment]\nmaster_seed = -1\n\n[algorithm:lms]\nmu = 0.01\n",
+         "master_seed must be non-negative, got -1"),
+        ("[experiment]\nruns = 1\niterations = 10\n", "no [algorithm:NAME] section"),
+    ],
+    ids=["negative-master-seed", "no-algorithm-section"],
+)
+def test_unrunnable_config_file_rejected_before_running(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out_dir = tmp_path / "out"
+    rc, out, err = _rejected(capsys, ["run", str(path), "--output-dir", str(out_dir)])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out_dir.exists()
+
+
+def test_run_blocks_give_identical_files_for_any_worker_count(tmp_path, capsys):
+    """45 runs make three blocks of 15; one, two or three workers (so up to
+    one process per block) write the same bytes."""
+    outputs = {}
+    for workers in (1, 2, 3):
+        out_dir = tmp_path / f"workers{workers}"
+        assert main(["paper-exp2", "--runs", "45", "--iterations", "500",
+                     "--workers", str(workers), "--output-dir", str(out_dir)]) == 0
+        outputs[workers] = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+    capsys.readouterr()
+    assert len(outputs[1]) == 7
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]

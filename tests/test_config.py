@@ -42,6 +42,7 @@ def test_defaults_are_valid():
         dict(epsilon=0.0),
         dict(sigma_z2=-0.01),
         dict(format="xml"),
+        dict(master_seed=-1),
     ],
 )
 def test_config_rejects_bad_fields(kw):

@@ -331,3 +331,49 @@ def test_attractor_term_gza_is_direction_bitwise():
     p = GroupPartition.contiguous(6, 3)
     w = np.random.default_rng(3).normal(size=6)
     assert_array_equal(attractor_term(w, p, AttractorMode(GZA)), attractor_direction(w, p))
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([1, 5, 9, 35]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**16),
+    st.floats(min_value=1e-2, max_value=1.0),
+)
+def test_operators_on_stacks_match_rows_bitwise(group_size, A, R, seed, epsilon):
+    """On an ``(A, R, L)`` stack every operator gives, row for row, the bits
+    of the call on that row alone (zero groups included)."""
+    rng = np.random.default_rng(seed)
+    L = 35
+    p = GroupPartition.contiguous(L, group_size)
+    W = rng.normal(size=(A, R, L)) * rng.uniform(1e-3, 10.0, size=(A, R, 1))
+    W[rng.random(size=(A, R, L)) < 0.3] = 0.0
+    for mode in (AttractorMode(GZA), AttractorMode(GRZA, epsilon)):
+        stacked = attractor_term(W, p, mode)
+        betas = beta_weights(W, p, mode)
+        assert stacked.shape == W.shape and betas.shape == (A, R, p.J)
+        for a in range(A):
+            for r in range(R):
+                assert_array_equal(stacked[a, r], attractor_term(W[a, r], p, mode))
+                assert_array_equal(betas[a, r], beta_weights(W[a, r], p, mode))
+    norms = group_norms(W, p)
+    directions = attractor_direction(W, p)
+    expanded = expand_group_vector(norms, p)
+    l12 = l12_norm(W, p)
+    for a in range(A):
+        for r in range(R):
+            assert_array_equal(norms[a, r], group_norms(W[a, r], p))
+            assert_array_equal(directions[a, r], attractor_direction(W[a, r], p))
+            assert_array_equal(expanded[a, r], expand_group_vector(norms[a, r], p))
+            assert l12[a, r] == l12_norm(W[a, r], p)
+
+
+def test_operators_reject_wrong_trailing_length():
+    p = GroupPartition.contiguous(6, 3)
+    with pytest.raises(ValueError):
+        attractor_term(np.zeros((2, 5)), p, AttractorMode(GZA))
+    with pytest.raises(ValueError):
+        attractor_term(np.float64(1.0), p, AttractorMode(GZA))
+    with pytest.raises(ValueError):
+        expand_group_vector(np.zeros((2, 3)), p)

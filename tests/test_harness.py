@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import gslms.filters
@@ -14,7 +16,7 @@ import gslms.varparam
 from gslms.config import (
     AlgorithmSpec, ExperimentConfig, builtin_config, config_hash, parse_config,
 )
-from gslms.filters import FilterConfig, initial_state, step
+from gslms.filters import DivergenceError, FilterConfig, initial_state, step
 from gslms.groups import AttractorMode, GroupPartition
 from gslms.harness import (
     STEADY_STATE_WINDOW,
@@ -25,7 +27,9 @@ from gslms.harness import (
     stage_windows,
     steady_state_db,
 )
-from gslms.signals import benchmark_schedule, scalar_stream, simulate_plant
+from gslms.signals import (
+    AR1GaussianMixture, WhiteGaussian, benchmark_schedule, scalar_stream, simulate_plant,
+)
 from gslms.varparam import VpState, vp_iteration
 
 
@@ -122,10 +126,10 @@ def test_variable_algorithm_produces_traces():
     assert lms.mu_trace is None and lms.lambda_trace is None
 
 
-def test_diverged_runs_are_counted_and_excluded():
+def test_diverged_runs_are_counted_and_excluded(tmp_path):
     # mu = 1.0 at L = 35 grows the weights by roughly half a decade per
-    # iteration; they cross the double-precision ceiling only around
-    # iteration six hundred, so the horizon must reach past that
+    # iteration; they cross the double-precision ceiling only after four to
+    # six hundred iterations, so the horizon must reach past that
     cfg = _small_cfg(
         runs=2,
         iterations=800,
@@ -136,11 +140,20 @@ def test_diverged_runs_are_counted_and_excluded():
     )
     with np.errstate(over="ignore", invalid="ignore"):
         unstable, stable = run_experiment(cfg)
+        expected = [[run, _scalar_fold(cfg, cfg.algorithms[0], run)[3]] for run in range(2)]
     assert unstable.metadata["diverged_runs"] == 2
     assert unstable.metadata["runs_used"] == 0
     assert stable.metadata["diverged_runs"] == 0
     assert stable.metadata["runs_used"] == 2
     assert np.all(np.isfinite(stable.msd))
+    # each pair is [run, index of the update that left the finite range]
+    assert all(it is not None for _, it in expected)
+    assert unstable.metadata["diverged"] == expected
+    assert stable.metadata["diverged"] == []
+    emit_curves([unstable, stable], cfg, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert [c["diverged"] for c in manifest["curves"]] == [expected, []]
+    assert [c["diverged_runs"] for c in manifest["curves"]] == [2, 0]
 
 
 def test_measured_input_power_recorded():
@@ -157,27 +170,29 @@ def test_learning_curve_rejects_negative_msd():
         )
 
 
-def test_attractor_evaluated_once_per_step(monkeypatch):
-    """exp1 has two fixed and two VP attractor algorithms out of five: each
-    evaluates the attractor once per step, the VP ones sharing it between
-    ``vp_iteration`` and ``step``."""
+def test_engine_skips_scalar_update_and_shares_one_attractor_call(monkeypatch):
+    """The block engine never calls the scalar ``step``/``vp_iteration``,
+    and evaluates the attractor once per mode and block-step: exp1 has both
+    modes, and 45 runs make three blocks."""
     calls = {}
 
     def count(module, attr, key):
-        original = getattr(module, attr)
+        original = getattr(module, attr, None)
 
         def counted(*args, **kwargs):
             calls[key] = calls.get(key, 0) + 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, attr, counted)
+        monkeypatch.setattr(module, attr, counted, raising=False)
 
     count(gslms.harness, "step", "step")
     count(gslms.harness, "vp_iteration", "vp_iteration")
+    count(gslms.filters, "step", "step")
+    count(gslms.varparam, "vp_iteration", "vp_iteration")
     count(gslms.filters, "attractor_term", "attractor_term")
-    count(gslms.varparam, "attractor_term", "attractor_term")
-    run_experiment(replace(builtin_config("exp1"), runs=1, iterations=200))
-    assert calls == {"step": 1000, "vp_iteration": 400, "attractor_term": 800}
+    count(gslms.varparam, "attractor_term", "varparam.attractor_term")
+    run_experiment(replace(builtin_config("exp1"), runs=45, iterations=100))
+    assert calls == {"attractor_term": 2 * 3 * 100}
 
 
 def test_single_loop_matches_reference_step_fold():
@@ -216,6 +231,148 @@ def test_single_loop_matches_reference_step_fold():
         assert_array_equal(curve.msd, msd)
         if spec.variable:
             assert_array_equal(curve.mu_trace, mus)
+
+
+def _scalar_fold(cfg, spec, run):
+    """Run ``run`` of one algorithm by folding the scalar ``vp_iteration`` and
+    ``step``, each evaluating the attractor itself.  Returns the MSD, mu and
+    rho per step and the ``DivergenceError`` iteration (None if none)."""
+    schedule = experiment_schedule(cfg)
+    x = scalar_stream(cfg.input, cfg.iterations, [cfg.master_seed, run, 0])
+    stream = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, run, 1])
+    target = schedule.plant_matrix()[stream.plant_index]
+    mode = AttractorMode(spec.mode, cfg.epsilon) if spec.mode else None
+    fcfg = FilterConfig(schedule.L, GroupPartition.contiguous(schedule.L, cfg.group_size),
+                        mode, mu=spec.mu, rho=spec.rho, variable_params=spec.variable)
+    vp = VpState.for_filter(schedule.L, cfg.sigma_z2, cfg.sigma_u2, gamma=spec.gamma,
+                            gamma_prime=spec.gamma_prime, mu_max=spec.mu_max)
+    state = initial_state(schedule.L)
+    msd, mus, rhos = [], [], []
+    for u, d, w_star in zip(stream.U, stream.d, target):
+        mu_n, rho_n = fcfg.mu, fcfg.rho
+        if spec.variable:
+            e = d - np.dot(state.w, u)
+            mu_n, rho_n = vp_iteration(vp, state, fcfg, u, float(e))
+            mus.append(mu_n)
+            rhos.append(rho_n)
+        try:
+            state = step(state, fcfg, u, d, mu_n, rho_n)
+        except DivergenceError as exc:
+            return msd, mus, rhos, exc.iteration
+        msd.append(np.dot(state.w - w_star, state.w - w_star))
+    return msd, mus, rhos, None
+
+
+_ENGINE_ALGORITHMS = {
+    spec.name: spec for spec in (
+        AlgorithmSpec(name="lms", mu=0.02),
+        AlgorithmSpec(name="gza", mode="gza", mu=0.02, rho=2e-4),
+        AlgorithmSpec(name="gza-rho0", mode="gza", mu=0.015),
+        AlgorithmSpec(name="grza", mode="grza", mu=0.02, rho=1e-4),
+        AlgorithmSpec(name="vp-lms", variable=True),
+        AlgorithmSpec(name="vp-gza", mode="gza", variable=True),
+        AlgorithmSpec(name="vp-grza", mode="grza", variable=True, gamma=0.9, mu_max=0.01),
+    )
+}
+
+
+def _lambda(mus, rhos):
+    return [rho / mu if mu != 0.0 else 0.0 for mu, rho in zip(mus, rhos)]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    group_size=st.sampled_from([1, 5, 9, 35]),
+    count=st.integers(min_value=1, max_value=6),
+    first=st.integers(min_value=0, max_value=3),
+    names=st.lists(st.sampled_from(sorted(_ENGINE_ALGORITHMS)), min_size=1, max_size=5,
+                   unique=True),
+    colored=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_block_rows_match_scalar_fold(group_size, count, first, names, colored, seed):
+    """Every (algorithm, run) row of a block is bit-identical to folding the
+    scalar ``vp_iteration``/``step`` over that run alone.  A block's sums
+    over a single counted run are that run's row."""
+    cfg = _small_cfg(
+        runs=first + count, iterations=150, group_size=group_size, master_seed=seed,
+        input=AR1GaussianMixture() if colored else WhiteGaussian(),
+        algorithms=tuple(_ENGINE_ALGORITHMS[n] for n in names),
+    )
+    runs = range(first, first + count)
+    for run in runs:
+        others = frozenset((name, other) for name in names for other in runs if other != run)
+        _, out = gslms.harness._advance_block(cfg, first, count, others)
+        for spec in cfg.algorithms:
+            msd, mus, rhos, diverged = _scalar_fold(cfg, spec, run)
+            msd_row, mu_row, lam_row, used, failed = out[spec.name]
+            assert diverged is None and failed == [] and used == 1
+            assert_array_equal(msd_row, msd)
+            if spec.variable:
+                assert_array_equal(mu_row, mus)
+                assert_array_equal(lam_row, _lambda(mus, rhos))
+
+
+def test_block_sums_add_runs_in_order():
+    """A block's sums are its runs' rows added one by one from zero, as
+    ``run_experiment`` added single runs before blocks existed."""
+    cfg = _small_cfg(runs=5, iterations=300, algorithms=tuple(_ENGINE_ALGORITHMS.values()))
+    _, out = gslms.harness._advance_block(cfg, 0, 5)
+    for spec in cfg.algorithms:
+        msd_sum, mu_sum, lam_sum = np.zeros(300), np.zeros(300), np.zeros(300)
+        for run in range(5):
+            msd, mus, rhos, _ = _scalar_fold(cfg, spec, run)
+            msd_sum += msd
+            if spec.variable:
+                mu_sum += mus
+                lam_sum += _lambda(mus, rhos)
+        assert_array_equal(out[spec.name][0], msd_sum)
+        if spec.variable:
+            assert_array_equal(out[spec.name][1], mu_sum)
+            assert_array_equal(out[spec.name][2], lam_sum)
+
+
+def test_diverging_row_leaves_other_rows_unchanged():
+    """A row that diverges inside a block is dropped at the scalar path's
+    iteration; the other rows, and so their sums, keep their bits."""
+    others = (
+        AlgorithmSpec(name="lms", mu=0.02),
+        AlgorithmSpec(name="vp-gza", mode="gza", variable=True),
+        AlgorithmSpec(name="grza", mode="grza", mu=0.02, rho=1e-4),
+    )
+    unstable = AlgorithmSpec(name="unstable", mode="grza", mu=1.0, rho=1e-4)
+    cfg = _small_cfg(runs=3, iterations=800, algorithms=others + (unstable,))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, mixed = gslms.harness._advance_block(cfg, 0, 3)
+        _, survivors = gslms.harness._run_block((cfg, 0, 3))
+        expected = [[r, _scalar_fold(cfg, unstable, r)[3]] for r in range(3)]
+    _, clean = gslms.harness._advance_block(replace(cfg, algorithms=others), 0, 3)
+    assert all(it is not None for _, it in expected)
+    assert mixed["unstable"][4] == survivors["unstable"][4] == expected
+    assert survivors["unstable"][3] == 0
+    assert_array_equal(survivors["unstable"][0], np.zeros(800))
+    for spec in others:
+        for out in (mixed, survivors):
+            msd, mu, lam, used, failed = out[spec.name]
+            assert used == 3 and failed == []
+            assert_array_equal(msd, clean[spec.name][0])
+            if spec.variable:
+                assert_array_equal(mu, clean[spec.name][1])
+                assert_array_equal(lam, clean[spec.name][2])
+
+
+def test_blocks_depend_on_run_count_only():
+    assert gslms.harness._blocks(1) == [(0, 1)]
+    assert gslms.harness._blocks(20) == [(0, 20)]
+    assert gslms.harness._blocks(45) == [(0, 15), (15, 15), (30, 15)]
+    assert gslms.harness._blocks(101) == [(0, 17), (17, 17), (34, 17), (51, 17),
+                                          (68, 17), (85, 16)]
+    for runs in range(1, 130):
+        blocks = gslms.harness._blocks(runs)
+        assert max(c for _, c in blocks) <= gslms.harness.BLOCK_RUNS
+        assert max(c for _, c in blocks) - min(c for _, c in blocks) <= 1
+        assert [f for f, _ in blocks] == [sum(c for _, c in blocks[:k]) for k in range(len(blocks))]
+        assert sum(c for _, c in blocks) == runs
 
 
 # ---------------------------------------------------------------------------
