@@ -205,7 +205,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     out = {}
     for a, spec in enumerate(specs):
         v = a - variable.start
-        traces = (mu_sum[:, v], lam_sum[:, v]) if spec.variable else (None, None)
+        traces = (mu_sum[:, v].copy(), lam_sum[:, v].copy()) if spec.variable else (None, None)
         used = sum((spec.name, run) not in dropped for run in range(first, first + count))
         diverged = [[first + int(r), int(diverged_at[a, r])]
                     for r in np.flatnonzero(diverged_at[a] >= 0)]

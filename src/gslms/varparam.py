@@ -280,26 +280,24 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
 class _VpRows:
     """:class:`VpState` for a stack of filters, one entry per row.
 
-    Every field is a ``(V, R)`` array: the smoothing factors and the
-    step-size cap repeat each algorithm's value across its runs (same-shape
-    operands are cheaper than broadcasting), and ``keep``/``keep_prime``
-    hold ``1 - gamma``/``1 - gamma'``.
+    Every array is ``(V, R)``: the smoothing factors (with ``keep = 1 -
+    gamma`` and ``keep_prime = 1 - gamma'``) and the step-size cap repeat
+    each algorithm's value across its runs, because same-shape operands are
+    cheaper than broadcasting.
     """
 
     L: int
     sigma_z2: float
     sigma_u2: float
     gamma: np.ndarray
+    keep: np.ndarray
     gamma_prime: np.ndarray
+    keep_prime: np.ndarray
     mu_max: np.ndarray
     e_smooth: np.ndarray
     zeta_min: np.ndarray
     mu_prev: np.ndarray
     rho_prev: np.ndarray
-
-    def __post_init__(self):
-        self.keep = 1.0 - self.gamma
-        self.keep_prime = 1.0 - self.gamma_prime
 
     @classmethod
     def fresh(cls, L: int, sigma_z2: float, sigma_u2: float, specs, runs: int) -> "_VpRows":
@@ -309,10 +307,13 @@ class _VpRows:
         def rows(values):
             return np.repeat(np.array(values, dtype=np.float64).reshape(-1, 1), runs, axis=1)
 
-        mu_max = [default_mu_max(sigma_u2, L) if s.mu_max is None else s.mu_max for s in specs]
+        gamma = rows([s.gamma for s in specs])
+        gamma_prime = rows([s.gamma_prime for s in specs])
+        mu_max = rows([default_mu_max(sigma_u2, L) if s.mu_max is None else s.mu_max
+                       for s in specs])
         memory = [np.zeros((len(specs), runs)) for _ in range(4)]
-        return cls(L, sigma_z2, sigma_u2, rows([s.gamma for s in specs]),
-                   rows([s.gamma_prime for s in specs]), rows(mu_max), *memory)
+        return cls(L, sigma_z2, sigma_u2, gamma, 1.0 - gamma, gamma_prime, 1.0 - gamma_prime,
+                   mu_max, *memory)
 
     def reset(self, rows) -> None:
         """Back to the fresh state on the boolean ``(V, R)`` mask ``rows``."""
