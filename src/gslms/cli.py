@@ -161,8 +161,9 @@ def _cmd_validate(args) -> int:
 
 def _check_flags(args) -> None:
     """Reject a flag value the command cannot run with, before any work
-    starts: a count or seed below its least value, or a noise variance,
-    step size or shrinkage that is negative or not finite."""
+    starts: a count or seed below its least value, a noise variance,
+    step size or shrinkage that is negative or not finite, or a tolerance
+    that is not finite and positive."""
     for name, least in (("workers", 1), ("horizon", 1), ("ensemble", 2), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
@@ -172,6 +173,9 @@ def _check_flags(args) -> None:
         if value is not None and not (math.isfinite(value) and value >= 0):
             flag = "--" + name.replace("_", "-")
             raise ConfigError(f"{flag} must be finite and non-negative, got {value}")
+    tol = getattr(args, "tol", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {tol}")
 
 
 def main(argv=None) -> int:

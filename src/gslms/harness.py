@@ -388,18 +388,17 @@ def emit_curves(curves: list[LearningCurve], cfg: ExperimentConfig,
 
 def _write_csv(path: str, curve: LearningCurve) -> None:
     names, cols = _curve_columns(curve)
+    rows = zip(*(map(repr, col.tolist()) for col in cols))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        for row in zip(*cols):
-            fields = [str(int(row[0]))] + [repr(float(v)) for v in row[1:]]
-            fh.write(",".join(fields) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _write_json(path: str, curve: LearningCurve) -> None:
     names, cols = _curve_columns(curve)
     payload = {"metadata": curve.metadata}
     for name, col in zip(names, cols):
-        payload[name] = [int(v) for v in col] if name == "iter" else [float(v) for v in col]
+        payload[name] = col.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

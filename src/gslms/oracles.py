@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .filters import FilterConfig
 from .groups import ZERO_GROUP_TOL, GRZA, AttractorMode, GroupPartition, l12_norm
@@ -118,7 +117,9 @@ def _member_samples(input_model, ensemble: int, count: int, rng: np.random.Gener
         total = count + burn
         signs = np.where(rng.random(size=(ensemble, total)) < 0.5, -1.0, 1.0)
         v = input_model.a * sd * signs + rng.normal(0.0, sd, size=(ensemble, total))
-        x = lfilter([1.0], [1.0, -input_model.alpha], v, axis=1)
+        x = v.copy()
+        for t in range(1, total):
+            x[:, t] += input_model.alpha * x[:, t - 1]
         return x[:, burn:]
     raise TypeError(f"unsupported input model {type(input_model).__name__}")
 

@@ -14,7 +14,6 @@ from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
 
 __all__ = [
     "WhiteGaussian",
@@ -138,8 +137,14 @@ def gen_ar1_mixture(
     sigma_v = np.sqrt(sigma_v2)
     means = np.where(rng.random(total) < 0.5, a * sigma_v, -a * sigma_v)
     v = means + rng.normal(0.0, sigma_v, size=total)
-    u = lfilter([1.0], [1.0, -alpha], v)
-    return u[burn_in:]
+    # numpy has no first-order scan; a loop over Python floats keeps the
+    # package numpy-only at a few ms per 25k samples
+    u = v.tolist()
+    acc = 0.0
+    for t, vt in enumerate(u):
+        acc = vt + alpha * acc
+        u[t] = acc
+    return np.array(u[burn_in:])
 
 
 def scalar_stream(process: InputProcess, n: int, seed) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Unit tests for the command-line front end's argument checks."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import gslms
 from gslms.cli import main
 
 
@@ -96,3 +101,24 @@ def test_run_blocks_give_identical_files_for_any_worker_count(tmp_path, capsys):
     assert len(outputs[1]) == 7
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_validate_model_tol_not_finite_positive_rejected(capsys, tol):
+    rc, out, err = _rejected(capsys, ["validate-model", "--tol", tol])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --tol must be finite and positive, got {float(tol)}\n"
+
+
+def test_cli_import_loads_no_scipy():
+    """The package is numpy-only: importing the CLI in a fresh interpreter
+    pulls in no scipy module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gslms.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, gslms.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

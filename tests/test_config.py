@@ -1,9 +1,14 @@
 """Unit tests for config parsing, serialization and the built-in experiments."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from gslms.cli import main
 from gslms.config import (
+    _EXP1_BASELINES,
+    _EXP2_BASELINES,
     BUILTIN_EXPERIMENTS,
     AlgorithmSpec,
     ConfigError,
@@ -269,3 +274,15 @@ def test_builtin_input_processes():
     assert builtin_config("exp2").input == AR1GaussianMixture(
         alpha=0.5, a=1.5, sigma_v2=4.0 / 13.0
     )
+
+
+def test_calibration_script_reproduces_frozen_baselines(capsys):
+    """scripts/calibrate_baselines.py still derives the frozen fixed-parameter
+    baselines bit for bit (exp2 runs on the AR(1) input)."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_baselines.py"
+    spec = importlib.util.spec_from_file_location("calibrate_baselines", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.calibrate("exp1") == _EXP1_BASELINES
+    assert script.calibrate("exp2") == _EXP2_BASELINES
+    capsys.readouterr()

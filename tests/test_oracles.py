@@ -1,6 +1,8 @@
 """Unit tests for the brute-force oracles (grid search, finite differences,
 ensemble moment estimation, recursion validation)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,6 +17,7 @@ from gslms.groups import (
 )
 from gslms.oracles import (
     EnsembleMoments,
+    _member_samples,
     ensemble_moments,
     finite_diff_subgradient,
     grid_minimize_quadratic,
@@ -254,3 +257,19 @@ def test_validation_deterministic_in_seed():
     a = validate_model_recursion(plant, WhiteGaussian(1.0), _lms_config(mu=0.01), **kw)
     b = validate_model_recursion(plant, WhiteGaussian(1.0), _lms_config(mu=0.01), **kw)
     assert np.array_equal(a.trq, b.trq)
+
+
+# SHA-256 of the (8, 300) AR(1) ensemble drawn from default_rng(2024) as
+# computed by scipy.signal.lfilter along axis 1, before the oracle's own
+# loop over time replaced it.  The loop must reproduce those bits exactly.
+MEMBER_DIGESTS = {
+    0.5: "2dd8ffad4fd27a906169c02a24b230432708520a29a328a6bc900984a6fb5975",
+    -0.7: "a3b811d158ce577c321ea16d58721813c09cd254e60c115270828051d5188b6d",
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(MEMBER_DIGESTS))
+def test_member_samples_ar1_bits_match_lfilter_record(alpha):
+    x = _member_samples(AR1GaussianMixture(alpha=alpha), 8, 300, np.random.default_rng(2024))
+    assert x.shape == (8, 300) and x.dtype == np.float64
+    assert hashlib.sha256(x.tobytes()).hexdigest() == MEMBER_DIGESTS[alpha]

@@ -1,5 +1,7 @@
 """Unit tests for input, noise and plant generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -102,6 +104,24 @@ def test_ar1_mixture_rejects_unstable_alpha():
         AR1GaussianMixture(alpha=-1.5)
     with pytest.raises(ValueError):
         AR1GaussianMixture(sigma_v2=0.0)
+
+
+# SHA-256 of gen_ar1_mixture(3000, 0.5, 1.5, 4/13, seed) as computed by
+# scipy.signal.lfilter([1], [1, -alpha], v), before the plain recursion
+# replaced it.  The recursion must reproduce those bits exactly.
+AR1_DIGESTS = {
+    0: "d5fb952d87e7dcbe7ed4487450b42455a3ab8eb4bd83701fa0b306d4225c698c",
+    1: "1fe25af2a0d5db2e474b7ebef5db872d3be64c39d5532f8b554243b555809e6e",
+    7: "c578f0cbb646f9bcb99f82def4d390b4f61b6286ae70ae46040d828c79ffbc60",
+    12345: "b81e451faf763143d5c6579f4adea48978757adb019094e8d010aca58a1aad8e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(AR1_DIGESTS))
+def test_ar1_mixture_bits_match_lfilter_record(seed):
+    u = gen_ar1_mixture(3000, 0.5, 1.5, 4.0 / 13.0, seed)
+    assert u.shape == (3000,) and u.dtype == np.float64
+    assert hashlib.sha256(u.tobytes()).hexdigest() == AR1_DIGESTS[seed]
 
 
 def test_scalar_stream_dispatches_by_process():
