@@ -45,26 +45,29 @@ def early_slope(msd: np.ndarray) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def lms_slope(base: ExperimentConfig, mu: float) -> float:
-    cfg = _with(base, [AlgorithmSpec(name="cand", mode=None, mu=mu)],
-                SLOPE_RUNS, SLOPE_ITERS)
-    (curve,) = run_experiment(cfg)
-    return early_slope(curve.msd)
+def lms_slopes(base: ExperimentConfig, mus) -> list[float]:
+    """Early slopes of fixed-step LMS at each step size in ``mus``, run as
+    one experiment: its rows are independent, so each slope is the one a
+    single-algorithm experiment gives, bit for bit."""
+    algs = [AlgorithmSpec(name=f"mu{i}", mode=None, mu=mu) for i, mu in enumerate(mus)]
+    curves = run_experiment(_with(base, algs, SLOPE_RUNS, SLOPE_ITERS))
+    return [early_slope(c.msd) for c in curves]
 
 
-def calibrate_mu(base: ExperimentConfig, target: float) -> float:
-    """Fixed step size whose early slope best matches ``target`` dB/iter."""
+def calibrate_mu(base: ExperimentConfig, target: float) -> tuple[float, float]:
+    """Fixed step size whose early slope best matches ``target`` dB/iter,
+    and that slope."""
     grid = np.geomspace(1e-3, 0.04, 17)
-    slopes = [lms_slope(base, mu) for mu in grid]
+    slopes = lms_slopes(base, grid)
     k = int(np.argmin([abs(s - target) for s in slopes]))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, len(grid) - 1)]
-    best_mu, best_err = grid[k], abs(slopes[k] - target)
-    for mu in np.linspace(lo, hi, 7)[1:-1]:
-        err = abs(lms_slope(base, mu) - target)
-        if err < best_err:
-            best_mu, best_err = mu, err
-    return float(best_mu)
+    best_mu, best_slope = grid[k], slopes[k]
+    refine = np.linspace(lo, hi, 7)[1:-1]
+    for mu, slope in zip(refine, lms_slopes(base, refine)):
+        if abs(slope - target) < abs(best_slope - target):
+            best_mu, best_slope = mu, slope
+    return float(best_mu), best_slope
 
 
 def calibrate_rho(base: ExperimentConfig, mode: str, mu: float) -> float:
@@ -88,9 +91,8 @@ def calibrate(name: str) -> dict:
     print(f"[{name}] VP slopes (dB/iter): "
           + ", ".join(f"{k}={v:.4f}" for k, v in vp_slopes.items())
           + f" -> target {target:.4f}")
-    mu = calibrate_mu(base, target)
-    print(f"[{name}] matched fixed mu = {mu:.6g} "
-          f"(slope {lms_slope(base, mu):.4f} dB/iter)")
+    mu, slope = calibrate_mu(base, target)
+    print(f"[{name}] matched fixed mu = {mu:.6g} (slope {slope:.4f} dB/iter)")
     out = {"lms_mu": mu}
     for mode in ("gza", "grza"):
         rho = calibrate_rho(base, mode, mu)

@@ -42,6 +42,7 @@ __all__ = [
 # moment estimates make the quadratic's Hessian nearly singular whenever the
 # attractor product is close to zero.
 DET_TOL = 1e-10
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class ModelError(RuntimeError):
@@ -198,8 +199,7 @@ def solve_optimal_params(
     if not g > 0:
         raise ModelError(f"normalization moment must be positive, got g={g}")
     det = g * h - ell * ell
-    tiny = np.finfo(np.float64).tiny
-    if det > det_tol * g * max(h, tiny):
+    if det > det_tol * g * max(h, _TINY):
         mu_star = (h * r1 - ell * r2) / det
         rho_star = (g * r2 - ell * r1) / det
     else:
@@ -278,26 +278,21 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
 
 @dataclass
 class _VpRows:
-    """:class:`VpState` for a stack of filters, one entry per row.
-
-    Every array is ``(V, R)``: the smoothing factors (with ``keep = 1 -
-    gamma`` and ``keep_prime = 1 - gamma'``) and the step-size cap repeat
-    each algorithm's value across its runs, because same-shape operands are
-    cheaper than broadcasting.
-    """
+    """:class:`VpState` for a stack of filters.  Each per-row field is a flat
+    list of Python floats, row-major over ``(V, R)`` (algorithms x runs); the
+    smoothing factors and the step-size cap repeat each algorithm's value
+    across its runs."""
 
     L: int
     sigma_z2: float
     sigma_u2: float
-    gamma: np.ndarray
-    keep: np.ndarray
-    gamma_prime: np.ndarray
-    keep_prime: np.ndarray
-    mu_max: np.ndarray
-    e_smooth: np.ndarray
-    zeta_min: np.ndarray
-    mu_prev: np.ndarray
-    rho_prev: np.ndarray
+    gamma: list[float]
+    gamma_prime: list[float]
+    mu_max: list[float]
+    e_smooth: list[float]
+    zeta_min: list[float]
+    mu_prev: list[float]
+    rho_prev: list[float]
 
     @classmethod
     def fresh(cls, L: int, sigma_z2: float, sigma_u2: float, specs, runs: int) -> "_VpRows":
@@ -305,86 +300,85 @@ class _VpRows:
         ``gamma``, ``gamma_prime`` and ``mu_max`` attributes, as
         :meth:`VpState.for_filter` takes them)."""
         def rows(values):
-            return np.repeat(np.array(values, dtype=np.float64).reshape(-1, 1), runs, axis=1)
+            return [float(v) for v in values for _ in range(runs)]
 
-        gamma = rows([s.gamma for s in specs])
-        gamma_prime = rows([s.gamma_prime for s in specs])
-        mu_max = rows([default_mu_max(sigma_u2, L) if s.mu_max is None else s.mu_max
-                       for s in specs])
-        memory = [np.zeros((len(specs), runs)) for _ in range(4)]
-        return cls(L, sigma_z2, sigma_u2, gamma, 1.0 - gamma, gamma_prime, 1.0 - gamma_prime,
-                   mu_max, *memory)
+        mu_max = [default_mu_max(sigma_u2, L) if s.mu_max is None else s.mu_max for s in specs]
+        memory = ([0.0] * (len(specs) * runs) for _ in range(4))
+        return cls(L, sigma_z2, sigma_u2, rows(s.gamma for s in specs),
+                   rows(s.gamma_prime for s in specs), rows(mu_max), *memory)
 
     def reset(self, rows) -> None:
         """Back to the fresh state on the boolean ``(V, R)`` mask ``rows``."""
-        for arr in (self.e_smooth, self.zeta_min, self.mu_prev, self.rho_prev):
-            arr[rows] = 0.0
-
-
-_TINY = np.finfo(np.float64).tiny
-
-
-def _py_max(a, b):
-    """Elementwise ``max(a, b)`` with Python's tie and NaN rules (signed
-    zeros included, which ``np.maximum`` does not promise)."""
-    return np.where(b > a, b, a)
+        for k in np.flatnonzero(rows).tolist():
+            self.e_smooth[k] = self.zeta_min[k] = self.mu_prev[k] = self.rho_prev[k] = 0.0
 
 
 def _vp_rows_iteration(vp: _VpRows, u, e, beta_s, live):
-    """:func:`vp_iteration` on every row at once; returns ``(mu, rho)``.
+    """:func:`vp_iteration` on every row; returns ``(mu, rho)`` as ``(V, R)``
+    arrays.
 
     ``u`` is ``(R, L)``, ``e`` ``(V, R)``, ``beta_s`` ``(V, R, L)`` (zero rows
-    for plain-LMS algorithms).  Each row repeats the scalar chain's
-    floating-point operations in the same order, so every entry is
-    bit-identical to a :func:`vp_iteration` call on that row.  Only rows
-    marked in ``live`` can raise :class:`ModelError`.
+    for plain-LMS algorithms).  The dot products are batched; the rest runs
+    row by row on Python floats, each line repeating the scalar chain's
+    floating-point operations in order, so every row is bit-identical to a
+    :func:`vp_iteration` call on it.  ``max(a, b)`` is spelled ``b if b > a
+    else a`` and ``min(a, b)`` ``b if b < a else a``: the builtins' results,
+    signed zeros and NaNs included, without their call cost.  Only rows
+    marked in ``live`` (indexed by the length of an output list) can raise
+    :class:`ModelError`.
     """
-    # estimate_emse
-    vp.e_smooth = vp.keep * e + vp.gamma * vp.e_smooth
-    zeta = _py_max(vp.e_smooth * vp.e_smooth - vp.sigma_z2, vp.zeta_min)
-    # compute_g, compute_r1, one_step_plant_estimate
-    g = vp.sigma_z2 * vp.sigma_u2 * vp.L + (2.0 + vp.L) * vp.sigma_u2 * zeta
-    r1 = zeta
-    positive = g > 0
-    if not positive.all() and (live & ~positive).any():
-        bad = np.flatnonzero(live & ~positive)[0]
-        raise ModelError(f"normalization moment must be positive, got g={g.flat[bad]}")
-    w_tilde_hat = (-(r1 / g) * e)[..., None] * u
+    sigma_z2, sigma_u2 = vp.sigma_z2, vp.sigma_u2
+    g0, g1 = sigma_z2 * sigma_u2 * vp.L, (2.0 + vp.L) * sigma_u2  # g = g0 + g1 * zeta
+    e_smooth, zetas, gs, cs = [], [], [], []
+    # estimate_emse, compute_g, compute_r1 (r1 = zeta), one_step_plant_estimate
+    for e_k, gamma, s, z_min in zip(e.ravel().tolist(), vp.gamma, vp.e_smooth, vp.zeta_min):
+        s = (1.0 - gamma) * e_k + gamma * s
+        zeta = s * s - sigma_z2
+        zeta = z_min if z_min > zeta else zeta
+        g = g0 + g1 * zeta
+        if not g > 0:
+            if live.flat[len(gs)]:
+                raise ModelError(f"normalization moment must be positive, got g={g}")
+            g = math.nan  # a dead row: keep Python from raising on x / 0.0
+        e_smooth.append(s)
+        zetas.append(zeta)
+        gs.append(g)
+        cs.append(-(zeta / g) * e_k)
     # compute_instantaneous_moments
-    h = np.vecdot(beta_s, beta_s)
-    ell = np.vecdot(w_tilde_hat, u) * np.vecdot(u, beta_s)
-    r2 = np.vecdot(beta_s, w_tilde_hat)
-    # solve_optimal_params.  A non-finite g, h or ell makes det non-finite,
-    # so the cheap test only passes when every moment is finite.
-    det = g * h - ell * ell
-    if not np.isfinite(det + r2).all():
-        finite = np.isfinite(g) & np.isfinite(h) & np.isfinite(ell) & np.isfinite(r2)
-        if (live & ~finite).any():
-            k = np.flatnonzero(live & ~finite)[0]
-            m = MomentEstimates(g=float(g.flat[k]), h=float(h.flat[k]), ell=float(ell.flat[k]),
-                                r1=float(r1.flat[k]), r2=float(r2.flat[k]))
+    w_tilde_hat = np.array(cs).reshape(e.shape + (1,)) * u
+    hs = np.vecdot(beta_s, beta_s).ravel().tolist()
+    wus = np.vecdot(w_tilde_hat, u).ravel().tolist()
+    ubs = np.vecdot(u, beta_s).ravel().tolist()
+    r2s = np.vecdot(beta_s, w_tilde_hat).ravel().tolist()
+    mus, rhos, zeta_min = [], [], []
+    for r1, g, h, wu, ub, r2, gp, mu_max, mu_prev, rho_prev in zip(
+            zetas, gs, hs, wus, ubs, r2s, vp.gamma_prime, vp.mu_max, vp.mu_prev, vp.rho_prev):
+        ell = wu * ub
+        # solve_optimal_params.  A non-finite g, h or ell makes det non-finite,
+        # so the cheap test only passes when every moment is finite.
+        det = g * h - ell * ell
+        if (not math.isfinite(det + r2) and live.flat[len(mus)]
+                and not all(map(math.isfinite, (g, h, ell, r1, r2)))):
+            m = MomentEstimates(g=g, h=h, ell=ell, r1=r1, r2=r2)
             raise ModelError(f"non-finite moment estimates: {m}")
-    solvable = det > DET_TOL * g * _py_max(h, _TINY)
-    mu_star = r1 / g
-    rho_star = np.zeros(det.shape)
-    np.divide(h * r1 - ell * r2, det, out=mu_star, where=solvable)
-    np.divide(g * r2 - ell * r1, det, out=rho_star, where=solvable)
-    mu_star = _py_max(mu_star, 0.0)
-    rho_star = _py_max(rho_star, 0.0)
-    # smooth_and_clamp
-    mu_n = vp.gamma_prime * vp.mu_prev + vp.keep_prime * mu_star
-    mu_n = np.where(vp.mu_max < mu_n, vp.mu_max, mu_n)
-    rho_n = vp.gamma_prime * vp.rho_prev + vp.keep_prime * rho_star
-    vp.mu_prev = mu_n
-    vp.rho_prev = rho_n
-    # propagate_model_msd, from the re-based model zeta / sigma_u2
-    two_mu = 2.0 * mu_n
-    incr = (
-        mu_n * mu_n * g
-        + rho_n * rho_n * h
-        + two_mu * rho_n * ell
-        - two_mu * r1
-        - 2.0 * rho_n * r2
-    )
-    vp.zeta_min = vp.sigma_u2 * _py_max(zeta / vp.sigma_u2 + incr, 0.0)
-    return mu_n, rho_n
+        if det > DET_TOL * g * (_TINY if _TINY > h else h):
+            mu_star = (h * r1 - ell * r2) / det
+            rho_star = (g * r2 - ell * r1) / det
+        else:
+            mu_star = r1 / g
+            rho_star = 0.0
+        mu_star = 0.0 if 0.0 > mu_star else mu_star
+        rho_star = 0.0 if 0.0 > rho_star else rho_star
+        # smooth_and_clamp
+        mu_n = gp * mu_prev + (1.0 - gp) * mu_star
+        mu_n = mu_max if mu_max < mu_n else mu_n
+        rho_n = gp * rho_prev + (1.0 - gp) * rho_star
+        # propagate_model_msd, from the re-based model zeta / sigma_u2
+        incr = (mu_n * mu_n * g + rho_n * rho_n * h + 2.0 * mu_n * rho_n * ell
+                - 2.0 * mu_n * r1 - 2.0 * rho_n * r2)
+        xi = r1 / sigma_u2 + incr
+        zeta_min.append(sigma_u2 * (0.0 if 0.0 > xi else xi))
+        mus.append(mu_n)
+        rhos.append(rho_n)
+    vp.e_smooth, vp.zeta_min, vp.mu_prev, vp.rho_prev = e_smooth, zeta_min, mus, rhos
+    return np.array(mus).reshape(e.shape), np.array(rhos).reshape(e.shape)

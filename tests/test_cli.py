@@ -88,6 +88,30 @@ def test_unrunnable_config_file_rejected_before_running(tmp_path, capsys, text, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, message",
+    [
+        ("input_variance = 1e200\n",
+         "non-finite moment estimates: MomentEstimates(g=inf, "),
+        ("input_variance = 1e-300\nnoise_variance = 0\n",
+         "normalization moment must be positive, got g=0.0"),
+    ],
+    ids=["moments-overflow", "zero-normalization"],
+)
+def test_model_error_exits_1_with_one_line(tmp_path, capsys, experiment, message):
+    """A VP run whose transient model breaks ends in one ``error:`` line and
+    exit 1 (a validation failure), not a traceback, and writes nothing."""
+    path = tmp_path / "model.ini"
+    path.write_text(f"[experiment]\nruns = 1\niterations = 50\n{experiment}\n"
+                    "[algorithm:vp-gza]\nmode = gza\nvariable = true\n")
+    out_dir = tmp_path / "out"
+    rc, out, err = _rejected(capsys, ["run", str(path), "--output-dir", str(out_dir)])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_run_blocks_give_identical_files_for_any_worker_count(tmp_path, capsys):
     """45 runs make three blocks of 15; one, two or three workers (so up to
     one process per block) write the same bytes."""

@@ -30,7 +30,7 @@ from gslms.harness import (
 from gslms.signals import (
     AR1GaussianMixture, WhiteGaussian, benchmark_schedule, scalar_stream, simulate_plant,
 )
-from gslms.varparam import VpState, vp_iteration
+from gslms.varparam import DET_TOL, VpState, vp_iteration
 
 
 def _small_cfg(**kw):
@@ -359,6 +359,86 @@ def test_diverging_row_leaves_other_rows_unchanged():
             if spec.variable:
                 assert_array_equal(mu, clean[spec.name][1])
                 assert_array_equal(lam, clean[spec.name][2])
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [dict(input=WhiteGaussian(1e200)),
+     dict(input=WhiteGaussian(1e-300), sigma_z2=0.0)],
+    ids=["moments-overflow", "zero-normalization"],
+)
+def test_block_raises_the_scalar_model_error(changes):
+    """A live VP row whose transient model breaks stops the block with the
+    scalar fold's ``ModelError`` message, non-finite moments and a
+    non-positive normalization alike."""
+    vp_spec = _ENGINE_ALGORITHMS["vp-gza"]
+    cfg = _small_cfg(runs=1, iterations=50,
+                     algorithms=(_ENGINE_ALGORITHMS["lms"], vp_spec), **changes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(gslms.varparam.ModelError) as scalar:
+            _scalar_fold(cfg, vp_spec, 0)
+        with pytest.raises(gslms.varparam.ModelError) as block:
+            gslms.harness._advance_block(cfg, 0, 1)
+    assert str(block.value) == str(scalar.value)
+
+
+def test_block_rows_match_scalar_fold_through_every_vp_branch(monkeypatch):
+    """On exp1's algorithms plus a VP row with a small step-size cap, the
+    scalar fold takes the solve fallback, the ``mu_max`` cap and the EMSE
+    floor, and every row of the block is still bitwise equal to it."""
+    capped = AlgorithmSpec(name="vp-capped", mode="grza", variable=True, mu_max=0.004)
+    cfg = replace(builtin_config("exp1"), runs=1, iterations=3000,
+                  algorithms=builtin_config("exp1").algorithms + (capped,))
+    fired = {"fallback": 0, "cap": 0, "floor": 0}
+    solve, smooth = gslms.varparam.solve_optimal_params, gslms.varparam.smooth_and_clamp
+
+    def counted_solve(m, *args, **kwargs):
+        tiny = np.finfo(np.float64).tiny
+        fired["fallback"] += not m.g * m.h - m.ell * m.ell > DET_TOL * m.g * max(m.h, tiny)
+        return solve(m, *args, **kwargs)
+
+    def counted_smooth(vp, mu_star, rho_star):
+        # Called after estimate_emse and before propagate_model_msd, so
+        # zeta_min is still the floor that estimate saw.
+        fired["floor"] += vp.zeta_min > vp.e_smooth * vp.e_smooth - vp.sigma_z2
+        gp = vp.gamma_prime
+        fired["cap"] += gp * vp.mu_prev + (1.0 - gp) * mu_star > vp.mu_max
+        return smooth(vp, mu_star, rho_star)
+
+    monkeypatch.setattr(gslms.varparam, "solve_optimal_params", counted_solve)
+    monkeypatch.setattr(gslms.varparam, "smooth_and_clamp", counted_smooth)
+    folds = {spec.name: _scalar_fold(cfg, spec, 0) for spec in cfg.algorithms}
+    monkeypatch.undo()
+    assert all(count > 0 for count in fired.values()), fired
+    _, out = gslms.harness._advance_block(cfg, 0, 1)
+    for spec in cfg.algorithms:
+        msd, mus, rhos, diverged = folds[spec.name]
+        msd_row, mu_row, lam_row, used, failed = out[spec.name]
+        assert diverged is None and failed == [] and used == 1
+        assert_array_equal(msd_row, msd)
+        if spec.variable:
+            assert_array_equal(mu_row, mus)
+            assert_array_equal(lam_row, _lambda(mus, rhos))
+
+
+def test_vp_rows_reset_zeroes_only_the_masked_rows():
+    """A diverged VP row restarts from the fresh state; the other rows keep
+    their memory."""
+    specs = [_ENGINE_ALGORITHMS["vp-gza"], _ENGINE_ALGORITHMS["vp-grza"]]
+    rows = gslms.varparam._VpRows.fresh(35, 0.01, 1.0, specs, 3)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        gslms.varparam._vp_rows_iteration(
+            rows, rng.normal(size=(3, 35)), rng.normal(size=(2, 3)),
+            0.01 * rng.normal(size=(2, 3, 35)), np.ones((2, 3), dtype=bool))
+    memory = ("e_smooth", "zeta_min", "mu_prev", "rho_prev")
+    before = {name: list(getattr(rows, name)) for name in memory}
+    assert all(before[name][3] != 0.0 for name in ("e_smooth", "mu_prev"))
+    mask = np.zeros((2, 3), dtype=bool)
+    mask[1, 0] = True
+    rows.reset(mask)
+    for name in memory:
+        assert getattr(rows, name) == [0.0 if k == 3 else v for k, v in enumerate(before[name])]
 
 
 def test_blocks_depend_on_run_count_only():
