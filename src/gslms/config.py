@@ -1,21 +1,23 @@
 """Experiment configuration: dataclasses, strict INI parsing, builtins.
 
-The file format is deliberately rigid.  Every key has a default, but a key
-that the parser does not know — or that does not apply to the selected input
-process or algorithm kind — is a hard error, so a misspelled hyperparameter
-can never silently fall back to its default.
+The file format is deliberately rigid.  A key left out takes its dataclass
+default, but a key that the parser does not know — or that does not apply to
+the selected input process or algorithm kind — is a hard error, so a
+misspelled hyperparameter can never silently fall back to its default.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import math
+from dataclasses import dataclass
+from typing import Optional
 
 from .groups import GRZA, GZA
-from .signals import AR1GaussianMixture, WhiteGaussian, benchmark_schedule, stationary_power
+from .signals import (
+    AR1GaussianMixture, InputProcess, WhiteGaussian, benchmark_schedule, stationary_power,
+)
 
 __all__ = [
     "ConfigError",
@@ -28,8 +30,6 @@ __all__ = [
     "builtin_config",
     "BUILTIN_EXPERIMENTS",
 ]
-
-InputProcess = Union[WhiteGaussian, AR1GaussianMixture]
 
 
 class ConfigError(ValueError):
@@ -75,7 +75,7 @@ class ExperimentConfig:
     group_size: int = 5
     epsilon: float = 0.1
     sigma_z2: float = 0.01
-    input: InputProcess = field(default_factory=WhiteGaussian)
+    input: InputProcess = WhiteGaussian()
     master_seed: int = 2024
     output_dir: str = ""  # empty = resolve via environment / fallback
     format: str = "csv"
@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ConfigError("epsilon must be positive")
         if not self.sigma_z2 >= 0:
             raise ConfigError("noise variance must be nonnegative")
+        if not math.isfinite(self.sigma_z2):
+            raise ConfigError(f"noise variance must be finite, got {self.sigma_z2}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown output format {self.format!r}")
         if self.master_seed < 0:
@@ -107,34 +109,66 @@ class ExperimentConfig:
         return stationary_power(self.input)
 
 
-_EXPERIMENT_KEYS = {
-    "id", "runs", "iterations", "group_size", "epsilon",
-    "noise_variance", "input", "input_variance", "ar_alpha", "ar_a",
-    "ar_sigma_v2", "master_seed", "output_dir", "format",
+def _bool(raw: str) -> bool:
+    """``true``/``yes``/``on``/``1`` or ``false``/``no``/``off``/``0``, any case."""
+    lowered = raw.strip().lower()
+    if lowered not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(raw)
+    return configparser.ConfigParser.BOOLEAN_STATES[lowered]
+
+
+# Key tables: rows of (INI key, dataclass field, parser) in the order that
+# serialize_config writes them.  A dict parser is a closed set of spellings.
+_EXPERIMENT_KEYS = (
+    ("id", "experiment", str), ("runs", "runs", int), ("iterations", "iterations", int),
+    ("group_size", "group_size", int), ("epsilon", "epsilon", float),
+    ("noise_variance", "sigma_z2", float), ("input", "input", str),  # then _INPUT_KEYS
+    ("master_seed", "master_seed", int), ("output_dir", "output_dir", str),
+    ("format", "format", str),
+)
+# input kind -> (process dataclass, its name in errors, its keys)
+_INPUT_KEYS = {
+    "white": (WhiteGaussian, "white input process", (("input_variance", "variance", float),)),
+    "ar1-mixture": (AR1GaussianMixture, "ar1-mixture process", (
+        ("ar_alpha", "alpha", float), ("ar_a", "a", float), ("ar_sigma_v2", "sigma_v2", float))),
 }
-_ALGORITHM_KEYS = {"mode", "variable", "mu", "rho", "gamma", "gamma_prime", "mu_max"}
+_INPUT_KIND = {cls: kind for kind, (cls, _, _) in _INPUT_KEYS.items()}
+_ALGORITHM_KEYS = (("mode", "mode", {"lms": None, GZA: GZA, GRZA: GRZA}),
+                   ("variable", "variable", _bool))
+# AlgorithmSpec.variable -> its parameter keys, and the error for them on the other kind
+_PARAM_KEYS = {
+    False: ((("mu", "mu", float), ("rho", "rho", float)),
+            "fixed mu/rho do not apply to a variable-parameter algorithm"),
+    True: ((("gamma", "gamma", float), ("gamma_prime", "gamma_prime", float),
+            ("mu_max", "mu_max", float)), "smoothing keys apply only to variable-parameter algorithms"),
+}
 _ALG_PREFIX = "algorithm:"
 
 
-def _get(parser, section, key, conv, default):
-    raw = parser.get(section, key, fallback=None)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        if conv is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+def _given(parser, section, rows):
+    """``(key, field, parser, raw value)`` of each row that ``section`` sets."""
+    raws = [(row, parser.get(section, row[0], fallback="")) for row in rows]
+    return [(*row, raw) for row, raw in raws if raw.strip()]
+
+
+def _parse(parser, section, rows) -> dict:
+    """Field values of the keys of ``rows`` that ``section`` sets."""
+    fields = {}
+    for key, name, conv, raw in _given(parser, section, rows):
+        try:
+            fields[name] = conv[raw] if isinstance(conv, dict) else conv(raw)
+        except KeyError:
+            raise ConfigError(f"[{section}] unknown {key} {raw!r}") from None
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from exc
+    return fields
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the INI experiment format; reject unknown keys and sections."""
+    """Parse the INI experiment format; reject unknown keys and sections.
+
+    A key left out (or left empty) keeps its dataclass default.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
@@ -143,77 +177,41 @@ def parse_config(text: str) -> ExperimentConfig:
 
     for section in parser.sections():
         if section == "experiment":
-            allowed = _EXPERIMENT_KEYS
+            tables = (_EXPERIMENT_KEYS, *(rows for _, _, rows in _INPUT_KEYS.values()))
         elif section.startswith(_ALG_PREFIX):
-            allowed = _ALGORITHM_KEYS
+            tables = (_ALGORITHM_KEYS, *(rows for rows, _ in _PARAM_KEYS.values()))
         else:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(parser.options(section)) - allowed
+        unknown = set(parser.options(section)) - {key for rows in tables for key, _, _ in rows}
         if unknown:
             raise ConfigError(f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}")
 
-    sec = "experiment" if parser.has_section("experiment") else None
-    kind = _get(parser, sec, "input", str, "white") if sec else "white"
-    if kind == "white":
-        for bad in ("ar_alpha", "ar_a", "ar_sigma_v2"):
-            if sec and parser.get(sec, bad, fallback="").strip():
-                raise ConfigError(f"{bad} does not apply to the white input process")
-        input_proc: InputProcess = WhiteGaussian(
-            variance=_get(parser, sec, "input_variance", float, 1.0) if sec else 1.0
-        )
-    elif kind == "ar1-mixture":
-        if sec and parser.get(sec, "input_variance", fallback="").strip():
-            raise ConfigError("input_variance does not apply to the ar1-mixture process")
-        input_proc = AR1GaussianMixture(
-            alpha=_get(parser, sec, "ar_alpha", float, 0.5),
-            a=_get(parser, sec, "ar_a", float, 1.5),
-            sigma_v2=_get(parser, sec, "ar_sigma_v2", float, 4.0 / 13.0),
-        )
-    else:
-        raise ConfigError(f"unknown input process {kind!r} (use white or ar1-mixture)")
+    fields = _parse(parser, "experiment", _EXPERIMENT_KEYS)
+    kind = fields.get("input") or _INPUT_KIND[type(ExperimentConfig.input)]
+    if kind not in _INPUT_KEYS:
+        raise ConfigError(f"unknown input process {kind!r} (use {' or '.join(_INPUT_KEYS)})")
+    process, label, rows = _INPUT_KEYS[kind]
+    misplaced = _given(parser, "experiment", [row for other, (_, _, keys) in _INPUT_KEYS.items()
+                                              if other != kind for row in keys])
+    if misplaced:
+        raise ConfigError(f"{misplaced[0][0]} does not apply to the {label}")
+    params = _parse(parser, "experiment", rows)
+    try:
+        fields["input"] = process(**params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     algorithms = []
-    for section in parser.sections():
-        if not section.startswith(_ALG_PREFIX):
-            continue
-        name = section[len(_ALG_PREFIX):]
-        mode_raw = _get(parser, section, "mode", str, "lms")
-        mode = None if mode_raw == "lms" else mode_raw
-        if mode not in (None, GZA, GRZA):
-            raise ConfigError(f"[{section}] unknown mode {mode_raw!r}")
-        variable = _get(parser, section, "variable", bool, False)
-        explicit = {k for k in _ALGORITHM_KEYS if parser.get(section, k, fallback="").strip()}
-        if variable and explicit & {"mu", "rho"}:
-            raise ConfigError(f"[{section}] fixed mu/rho do not apply to a variable-parameter algorithm")
-        if not variable and explicit & {"gamma", "gamma_prime", "mu_max"}:
-            raise ConfigError(f"[{section}] smoothing keys apply only to variable-parameter algorithms")
-        algorithms.append(AlgorithmSpec(
-            name=name,
-            mode=mode,
-            variable=variable,
-            mu=_get(parser, section, "mu", float, 0.0),
-            rho=_get(parser, section, "rho", float, 0.0),
-            gamma=_get(parser, section, "gamma", float, 0.95),
-            gamma_prime=_get(parser, section, "gamma_prime", float, 0.95),
-            mu_max=_get(parser, section, "mu_max", float, None),
-        ))
+    for section in filter(lambda s: s.startswith(_ALG_PREFIX), parser.sections()):
+        spec = _parse(parser, section, _ALGORITHM_KEYS)
+        variable = spec.get("variable", AlgorithmSpec.variable)
+        (rows, _), (misplaced, message) = _PARAM_KEYS[variable], _PARAM_KEYS[not variable]
+        if any(_given(parser, section, misplaced)):
+            raise ConfigError(f"[{section}] {message}")
+        spec.update(_parse(parser, section, rows))
+        algorithms.append(AlgorithmSpec(name=section[len(_ALG_PREFIX):], **spec))
 
-    def e(key, conv, default):
-        return _get(parser, sec, key, conv, default) if sec else default
-
-    return ExperimentConfig(
-        experiment=e("id", str, "custom"),
-        runs=e("runs", int, 100),
-        iterations=e("iterations", int, 24000),
-        group_size=e("group_size", int, 5),
-        epsilon=e("epsilon", float, 0.1),
-        sigma_z2=e("noise_variance", float, 0.01),
-        input=input_proc,
-        master_seed=e("master_seed", int, 2024),
-        output_dir=e("output_dir", str, ""),
-        format=e("format", str, "csv"),
-        algorithms=tuple(algorithms),
-    )
+    return ExperimentConfig(**fields, algorithms=tuple(algorithms))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -224,14 +222,12 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
+def _fmt(value, conv) -> str:
+    if isinstance(conv, dict):  # the spelling that parses to ``value``
+        return next(text for text, v in conv.items() if v == value)
     if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return str(value).lower()
+    return "" if value is None else str(value)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -240,38 +236,20 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     The output parses back to an identical ExperimentConfig, which is what
     makes `show-config | run` a faithful round trip.
     """
-    out = io.StringIO()
-    out.write("[experiment]\n")
-    pairs = [
-        ("id", cfg.experiment), ("runs", cfg.runs), ("iterations", cfg.iterations),
-        ("group_size", cfg.group_size), ("epsilon", cfg.epsilon),
-        ("noise_variance", cfg.sigma_z2),
-    ]
-    if isinstance(cfg.input, WhiteGaussian):
-        pairs += [("input", "white"), ("input_variance", cfg.input.variance)]
-    else:
-        pairs += [
-            ("input", "ar1-mixture"), ("ar_alpha", cfg.input.alpha),
-            ("ar_a", cfg.input.a), ("ar_sigma_v2", cfg.input.sigma_v2),
-        ]
-    pairs += [
-        ("master_seed", cfg.master_seed), ("output_dir", cfg.output_dir),
-        ("format", cfg.format),
-    ]
-    for key, value in pairs:
-        out.write(f"{key} = {_fmt(value)}\n")
-    for alg in cfg.algorithms:
-        out.write(f"\n[{_ALG_PREFIX}{alg.name}]\n")
-        out.write(f"mode = {alg.mode if alg.mode else 'lms'}\n")
-        out.write(f"variable = {_fmt(alg.variable)}\n")
-        if alg.variable:
-            out.write(f"gamma = {_fmt(alg.gamma)}\n")
-            out.write(f"gamma_prime = {_fmt(alg.gamma_prime)}\n")
-            out.write(f"mu_max = {_fmt(alg.mu_max)}\n")
+    def lines(obj, rows):
+        return [f"{key} = {_fmt(getattr(obj, name), conv)}" for key, name, conv in rows]
+
+    kind = _INPUT_KIND[type(cfg.input)]
+    out = ["[experiment]"]
+    for key, name, conv in _EXPERIMENT_KEYS:
+        if name == "input":
+            out += [f"{key} = {kind}", *lines(cfg.input, _INPUT_KEYS[kind][2])]
         else:
-            out.write(f"mu = {_fmt(alg.mu)}\n")
-            out.write(f"rho = {_fmt(alg.rho)}\n")
-    return out.getvalue()
+            out += lines(cfg, [(key, name, conv)])
+    for alg in cfg.algorithms:
+        out += ["", f"[{_ALG_PREFIX}{alg.name}]"]
+        out += lines(alg, _ALGORITHM_KEYS + _PARAM_KEYS[alg.variable][0])
+    return "\n".join(out) + "\n"
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -123,15 +123,15 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     schedule = experiment_schedule(cfg)
     L, N, A, R = schedule.L, cfg.iterations, len(cfg.algorithms), count
     partition = GroupPartition.contiguous(L, cfg.group_size)
-    # Row r of ``xr`` is run r's input reversed and zero-padded, so the
-    # tapped-delay regressors of sample i are the windows xr[:, N-1-i:][:, :L].
-    xr = np.zeros((R, N + L - 1))
+    # Row r of ``xr`` is run r's ``SignalStream.x_rev``, so the tapped-delay
+    # regressors of sample i are the windows xr[:, N-1-i:][:, :L].
+    xr = np.empty((R, N + L - 1))
     d = np.empty((N, R))
     powers = []
     for k, run in enumerate(range(first, first + count)):
         x = scalar_stream(cfg.input, N, [cfg.master_seed, run, 0])
-        d[:, k] = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, run, 1]).d
-        xr[k, :N] = x[::-1]
+        stream = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, run, 1])
+        d[:, k], xr[k] = stream.d, stream.x_rev
         powers.append(float(np.mean(x * x)) if x.size else 0.0)
 
     specs = sorted(cfg.algorithms, key=lambda s: _ROW_RANK[s.variable, s.mode])
@@ -330,8 +330,7 @@ def _curve_columns(curve: LearningCurve) -> tuple[list[str], list[np.ndarray]]:
     return names, cols
 
 
-def emit_curves(curves: list[LearningCurve], cfg: ExperimentConfig,
-                out_dir, fmt: Optional[str] = None) -> list[str]:
+def emit_curves(curves: list[LearningCurve], cfg: ExperimentConfig, out_dir) -> list[str]:
     """Write one curve file per algorithm plus manifest and resolved config.
 
     Returns the paths written.  All numbers go through ``repr`` so a re-read
@@ -339,17 +338,14 @@ def emit_curves(curves: list[LearningCurve], cfg: ExperimentConfig,
     """
     if not curves:
         raise ValueError("no curves to emit")
-    fmt = cfg.format if fmt is None else fmt
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown output format {fmt!r}")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     manifest_curves = []
     for curve in curves:
-        fname = f"{curve.name}.{fmt}"
+        fname = f"{curve.name}.{cfg.format}"
         path = os.path.join(out_dir, fname)
         try:
-            if fmt == "csv":
+            if cfg.format == "csv":
                 _write_csv(path, curve)
             else:
                 _write_json(path, curve)

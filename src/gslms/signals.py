@@ -39,8 +39,8 @@ class WhiteGaussian:
     variance: float = 1.0
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError("input variance must be positive")
+        if not 0 < self.variance < np.inf:
+            raise ValueError(f"input variance must be positive and finite, got {self.variance}")
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,11 @@ class AR1GaussianMixture:
 
     def __post_init__(self):
         if not abs(self.alpha) < 1:
-            raise ValueError("AR coefficient must satisfy |alpha| < 1")
-        if not self.sigma_v2 > 0:
-            raise ValueError("innovation variance must be positive")
+            raise ValueError(f"AR coefficient must satisfy |alpha| < 1, got {self.alpha}")
+        if not np.isfinite(self.a):
+            raise ValueError(f"mixture offset a must be finite, got {self.a}")
+        if not 0 < self.sigma_v2 < np.inf:
+            raise ValueError(f"innovation variance must be positive and finite, got {self.sigma_v2}")
 
 
 InputProcess = Union[WhiteGaussian, AR1GaussianMixture]
@@ -212,15 +214,24 @@ def benchmark_schedule(
 class SignalStream:
     """One realization of the regressor/desired-signal pair.
 
-    ``U[i]`` is the tapped-delay regressor ``[x_i, x_{i-1}, ...]`` (zero
-    pre-padding), ``d`` the noisy plant output, ``plant_index[i]`` the active
-    schedule segment at sample ``i``.
+    ``x_rev`` is the input reversed and zero-padded with ``L - 1`` samples,
+    ``d`` the noisy plant output, ``plant_index[i]`` the active schedule
+    segment at sample ``i``.
     """
 
-    U: np.ndarray
+    x_rev: np.ndarray
     d: np.ndarray
     plant_index: np.ndarray
     schedule: PlantSchedule
+
+    @property
+    def U(self) -> np.ndarray:
+        """Row ``i`` is the tapped-delay regressor ``[x_i, x_{i-1}, ...]``
+        (zero pre-padding): a read-only window view into ``x_rev``."""
+        L = self.schedule.L
+        if self.x_rev.shape[0] < L:  # no samples
+            return np.empty((0, L))
+        return sliding_window_view(self.x_rev, L)[::-1]
 
 
 def simulate_plant(
@@ -228,21 +239,19 @@ def simulate_plant(
 ) -> SignalStream:
     """Pass a scalar input stream through the scheduled plant plus noise.
 
-    Builds the tapped-delay regressors from ``x``, applies the active plant
-    vector per sample and adds i.i.d. Gaussian measurement noise drawn from
-    an RNG stream independent of the input.
+    Applies the active plant vector to each tapped-delay regressor of ``x``
+    (the last segment runs to the end of ``x``) and adds i.i.d. Gaussian
+    measurement noise drawn from an RNG stream independent of the input.
     """
     n = x.shape[0]
-    L = schedule.L
-    if n == 0:
-        U = np.zeros((0, L))
-    else:
-        padded = np.concatenate([np.zeros(L - 1), x])
-        U = np.ascontiguousarray(sliding_window_view(padded, L)[:, ::-1])
-    idx = schedule.active_indices(n)
-    plants = schedule.plant_matrix()
-    d = np.einsum("ij,ij->i", U, plants[idx])
+    d = np.empty(n)
+    stream = SignalStream(np.concatenate([x[::-1], np.zeros(schedule.L - 1)]), d,
+                          schedule.active_indices(n), schedule)
+    # Samples of segment k are [edges[k], edges[k+1]): plant_index is sorted.
+    edges = np.searchsorted(stream.plant_index, np.arange(len(schedule.segments) + 1))
+    U = stream.U
+    for (_, w), lo, hi in zip(schedule.segments, edges, edges[1:]):
+        d[lo:hi] = np.einsum("ij,j->i", U[lo:hi], w)
     if sigma_z2 > 0:
-        rng = np.random.default_rng(noise_seed)
-        d = d + rng.normal(0.0, np.sqrt(sigma_z2), size=n)
-    return SignalStream(U=U, d=d, plant_index=idx, schedule=schedule)
+        d += np.random.default_rng(noise_seed).normal(0.0, np.sqrt(sigma_z2), size=n)
+    return stream

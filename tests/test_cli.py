@@ -68,14 +68,35 @@ def test_unrunnable_flag_rejected_before_running(tmp_path, capsys, argv, message
     assert not out_dir.exists()
 
 
+def _vp_config(experiment):
+    return (f"[experiment]\nruns = 1\niterations = 10\n{experiment}\n"
+            "[algorithm:vp-gza]\nmode = gza\nvariable = true\n")
+
+
+_AR1 = "input = ar1-mixture\n"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         ("[experiment]\nmaster_seed = -1\n\n[algorithm:lms]\nmu = 0.01\n",
          "master_seed must be non-negative, got -1"),
         ("[experiment]\nruns = 1\niterations = 10\n", "no [algorithm:NAME] section"),
+        # values the input process or noise model cannot run with
+        (_vp_config("input_variance = 0\n"), "input variance must be positive and finite, got 0.0"),
+        (_vp_config("input_variance = -1\n"), "input variance must be positive and finite, got -1.0"),
+        (_vp_config("input_variance = nan\n"), "input variance must be positive and finite, got nan"),
+        (_vp_config("input_variance = inf\n"), "input variance must be positive and finite, got inf"),
+        (_vp_config(_AR1 + "ar_alpha = 1.5\n"), "AR coefficient must satisfy |alpha| < 1, got 1.5"),
+        (_vp_config(_AR1 + "ar_a = inf\n"), "mixture offset a must be finite, got inf"),
+        (_vp_config(_AR1 + "ar_a = nan\n"), "mixture offset a must be finite, got nan"),
+        (_vp_config(_AR1 + "ar_sigma_v2 = inf\n"),
+         "innovation variance must be positive and finite, got inf"),
+        (_vp_config("noise_variance = inf\n"), "noise variance must be finite, got inf"),
     ],
-    ids=["negative-master-seed", "no-algorithm-section"],
+    ids=["negative-master-seed", "no-algorithm-section", "zero-input-variance",
+         "negative-input-variance", "nan-input-variance", "inf-input-variance",
+         "ar-alpha-above-one", "inf-ar-a", "nan-ar-a", "inf-ar-sigma-v2", "inf-noise-variance"],
 )
 def test_unrunnable_config_file_rejected_before_running(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"

@@ -221,6 +221,23 @@ def test_serialize_is_stable():
     assert serialize_config(cfg) == serialize_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "name, digest", [("exp1", "bdd30dbc97ed9b9e"), ("exp2", "802ac97122d5776f")]
+)
+def test_builtin_config_hash_is_pinned(name, digest):
+    """The serialised bytes of the built-ins, and so every emitted
+    ``config_hash``, stay as they are."""
+    assert config_hash(builtin_config(name)) == digest
+
+
+@pytest.mark.parametrize("name", BUILTIN_EXPERIMENTS)
+def test_shipped_ini_matches_builtin(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini"
+    cfg = load_config(path)
+    assert cfg == builtin_config(name)
+    assert serialize_config(cfg) == serialize_config(builtin_config(name))
+
+
 def test_config_hash_tracks_content():
     cfg = builtin_config("exp1")
     base = config_hash(cfg)

@@ -579,13 +579,10 @@ def test_manifest_records_reproduction_inputs(tmp_path):
     assert parse_config((tmp_path / "config.ini").read_text()) == cfg
 
 
-def test_emit_rejects_empty_and_unknown_format(tmp_path):
+def test_emit_rejects_empty_curves(tmp_path):
     cfg = _small_cfg()
     with pytest.raises(ValueError):
         emit_curves([], cfg, tmp_path)
-    curves = run_experiment(cfg)
-    with pytest.raises(ValueError):
-        emit_curves(curves, cfg, tmp_path, fmt="yaml")
 
 
 def test_emit_surfaces_io_errors(tmp_path):

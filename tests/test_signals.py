@@ -279,6 +279,26 @@ def test_simulate_noise_independent_of_input():
     assert_array_equal(s1.d, s3.d)
 
 
+@pytest.mark.parametrize("n", [0, 1, 12000, 24000, 30000])
+def test_simulate_matches_materialised_regressors(n):
+    """``U`` and ``d`` equal the (n, L) regressor matrix and per-sample plant
+    gather they replace, for a schedule longer than, equal to and shorter
+    than ``n`` (the last plant then runs to ``n``)."""
+    sched = benchmark_schedule(total_iterations=24000)
+    x = gen_white_gaussian(n, 1.0, seed=n)
+    stream = simulate_plant(sched, x, 0.01, noise_seed=n + 1)
+    L = sched.L
+    padded = np.concatenate([np.zeros(L - 1), x])
+    U = np.array([padded[i:i + L][::-1] for i in range(n)]).reshape(n, L)
+    d = np.einsum("ij,ij->i", U, sched.plant_matrix()[sched.active_indices(n)])
+    d = d + np.random.default_rng(n + 1).normal(0.0, np.sqrt(0.01), size=n)
+    assert_array_equal(stream.U, U)
+    assert_array_equal(stream.d, d)
+    assert np.shares_memory(stream.U, stream.x_rev) or n == 0
+    if n > 16000:
+        assert_array_equal(stream.plant_index[16000:], 2)
+
+
 def test_simulate_empty_stream():
     stream = simulate_plant(_single_plant(np.zeros(3), 0), np.empty(0), 0.01, noise_seed=0)
     assert stream.U.shape == (0, 3)
