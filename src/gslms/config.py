@@ -61,8 +61,9 @@ class AlgorithmSpec:
             if self.mu_max is not None and not self.mu_max > 0:
                 raise ConfigError("mu_max must be positive when given")
         else:
-            if self.mu < 0 or self.rho < 0:
-                raise ConfigError("fixed mu and rho must be nonnegative")
+            if not all(math.isfinite(v) and v >= 0 for v in (self.mu, self.rho)):
+                raise ConfigError(f"fixed mu and rho must be finite and nonnegative, "
+                                  f"got mu={self.mu}, rho={self.rho}")
 
 
 @dataclass(frozen=True)

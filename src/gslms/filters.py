@@ -57,8 +57,9 @@ class FilterConfig:
             raise ValueError(
                 f"partition covers {self.partition.L} coefficients, filter has {self.L}"
             )
-        if self.mu < 0 or self.rho < 0:
-            raise ValueError("mu and rho must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.mu, self.rho)):
+            raise ValueError(f"mu and rho must be finite and non-negative, "
+                             f"got mu={self.mu}, rho={self.rho}")
 
 
 @dataclass(frozen=True)

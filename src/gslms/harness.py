@@ -23,7 +23,7 @@ from . import __version__, filters
 from .config import ExperimentConfig, config_hash, serialize_config
 from .groups import GRZA, GZA, AttractorMode, GroupPartition
 from .signals import PlantSchedule, benchmark_schedule, scalar_stream, simulate_plant
-from .varparam import _VpRows, _vp_rows_iteration
+from .varparam import VpState, _vp_rows_iteration
 
 __all__ = [
     "LearningCurve",
@@ -137,8 +137,14 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     specs = sorted(cfg.algorithms, key=lambda s: _ROW_RANK[s.variable, s.mode])
     ranks = [_ROW_RANK[s.variable, s.mode] for s in specs]
     variable = _rank_slice(ranks, 2, 4)
-    vp = _VpRows.fresh(L, cfg.sigma_z2, cfg.sigma_u2, specs[variable], R)
     V = len(specs[variable])
+
+    def fresh_vp(k):
+        """Initial VP state of variable row ``k``, row-major over ``(V, R)``."""
+        s = specs[variable][k // R]
+        return VpState.for_filter(L, cfg.sigma_z2, cfg.sigma_u2, s.gamma, s.gamma_prime, s.mu_max)
+
+    vps = [fresh_vp(k) for k in range(V * R)]
     # One attractor evaluation per mode and step.  A fixed row with rho = 0
     # gets one too: its weights are never -0.0, so subtracting 0 * beta_s
     # leaves them bit for bit as an update without the term would.
@@ -183,7 +189,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
                 # perfbench tracer) sees every evaluation.
                 beta_s[rows] = filters.attractor_term(w[rows], partition, mode)
             if V:
-                mu_v, rho_v = _vp_rows_iteration(vp, u, e[variable], beta_s[variable],
+                mu_v, rho_v = _vp_rows_iteration(vps, u, e[variable], beta_s[variable],
                                                  live[variable])
                 mu[variable] = mu_buf[j] = mu_v
                 rho[variable] = rho_buf[j] = rho_v
@@ -195,7 +201,8 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
                 diverged_at[live & ~finite] = i
                 live &= finite
                 w_next[~finite] = 0.0
-                vp.reset(~finite[variable])
+                for k in np.flatnonzero(~finite[variable]).tolist():
+                    vps[k] = fresh_vp(k)
             diff = w_next - w_star
             msd_buf[j] = np.vecdot(diff, diff)
             w = w_next
@@ -206,7 +213,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     for a, spec in enumerate(specs):
         v = a - variable.start
         traces = (mu_sum[:, v].copy(), lam_sum[:, v].copy()) if spec.variable else (None, None)
-        used = sum((spec.name, run) not in dropped for run in range(first, first + count))
+        used = int(counted[a].sum())
         diverged = [[first + int(r), int(diverged_at[a, r])]
                     for r in np.flatnonzero(diverged_at[a] >= 0)]
         out[spec.name] = (msd_sum[:, a].copy(), *traces, used, diverged)

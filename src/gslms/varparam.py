@@ -276,71 +276,37 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
     return mu_n, rho_n
 
 
-@dataclass
-class _VpRows:
-    """:class:`VpState` for a stack of filters.  Each per-row field is a flat
-    list of Python floats, row-major over ``(V, R)`` (algorithms x runs); the
-    smoothing factors and the step-size cap repeat each algorithm's value
-    across its runs."""
-
-    L: int
-    sigma_z2: float
-    sigma_u2: float
-    gamma: list[float]
-    gamma_prime: list[float]
-    mu_max: list[float]
-    e_smooth: list[float]
-    zeta_min: list[float]
-    mu_prev: list[float]
-    rho_prev: list[float]
-
-    @classmethod
-    def fresh(cls, L: int, sigma_z2: float, sigma_u2: float, specs, runs: int) -> "_VpRows":
-        """Initial memory for ``runs`` runs of each spec (anything with
-        ``gamma``, ``gamma_prime`` and ``mu_max`` attributes, as
-        :meth:`VpState.for_filter` takes them)."""
-        def rows(values):
-            return [float(v) for v in values for _ in range(runs)]
-
-        mu_max = [default_mu_max(sigma_u2, L) if s.mu_max is None else s.mu_max for s in specs]
-        memory = ([0.0] * (len(specs) * runs) for _ in range(4))
-        return cls(L, sigma_z2, sigma_u2, rows(s.gamma for s in specs),
-                   rows(s.gamma_prime for s in specs), rows(mu_max), *memory)
-
-    def reset(self, rows) -> None:
-        """Back to the fresh state on the boolean ``(V, R)`` mask ``rows``."""
-        for k in np.flatnonzero(rows).tolist():
-            self.e_smooth[k] = self.zeta_min[k] = self.mu_prev[k] = self.rho_prev[k] = 0.0
-
-
-def _vp_rows_iteration(vp: _VpRows, u, e, beta_s, live):
+def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, live):
     """:func:`vp_iteration` on every row; returns ``(mu, rho)`` as ``(V, R)``
     arrays.
 
-    ``u`` is ``(R, L)``, ``e`` ``(V, R)``, ``beta_s`` ``(V, R, L)`` (zero rows
-    for plain-LMS algorithms).  The dot products are batched; the rest runs
-    row by row on Python floats, each line repeating the scalar chain's
-    floating-point operations in order, so every row is bit-identical to a
-    :func:`vp_iteration` call on it.  ``max(a, b)`` is spelled ``b if b > a
-    else a`` and ``min(a, b)`` ``b if b < a else a``: the builtins' results,
-    signed zeros and NaNs included, without their call cost.  Only rows
-    marked in ``live`` (indexed by the length of an output list) can raise
+    ``vps`` holds one :class:`VpState` per row, row-major over ``(V, R)``
+    (algorithms x runs), and each is advanced in place.  ``u`` is ``(R, L)``,
+    ``e`` ``(V, R)``, ``beta_s`` ``(V, R, L)`` (zero rows for plain-LMS
+    algorithms).  The dot products are batched; the rest runs row by row on
+    Python floats, each line repeating the scalar chain's floating-point
+    operations in order, so every row's outputs and whole state are
+    bit-identical to a :func:`vp_iteration` call on it.  ``L``, ``sigma_z2``
+    and ``sigma_u2`` are read once from the first row: the engine builds
+    every row from one config.  ``max(a, b)`` is spelled ``b if b > a else
+    a`` and ``min(a, b)`` ``b if b < a else a``: the builtins' results, signed
+    zeros and NaNs included, without their call cost.  Only rows marked in
+    ``live`` (indexed by the length of an output list) can raise
     :class:`ModelError`.
     """
-    sigma_z2, sigma_u2 = vp.sigma_z2, vp.sigma_u2
-    g0, g1 = sigma_z2 * sigma_u2 * vp.L, (2.0 + vp.L) * sigma_u2  # g = g0 + g1 * zeta
-    e_smooth, zetas, gs, cs = [], [], [], []
+    L, sigma_z2, sigma_u2 = vps[0].L, vps[0].sigma_z2, vps[0].sigma_u2
+    g0, g1 = sigma_z2 * sigma_u2 * L, (2.0 + L) * sigma_u2  # g = g0 + g1 * zeta
+    zetas, gs, cs = [], [], []
     # estimate_emse, compute_g, compute_r1 (r1 = zeta), one_step_plant_estimate
-    for e_k, gamma, s, z_min in zip(e.ravel().tolist(), vp.gamma, vp.e_smooth, vp.zeta_min):
-        s = (1.0 - gamma) * e_k + gamma * s
-        zeta = s * s - sigma_z2
+    for vp, e_k in zip(vps, e.ravel().tolist()):
+        s = vp.e_smooth = (1.0 - vp.gamma) * e_k + vp.gamma * vp.e_smooth
+        zeta, z_min = s * s - sigma_z2, vp.zeta_min
         zeta = z_min if z_min > zeta else zeta
         g = g0 + g1 * zeta
         if not g > 0:
             if live.flat[len(gs)]:
                 raise ModelError(f"normalization moment must be positive, got g={g}")
             g = math.nan  # a dead row: keep Python from raising on x / 0.0
-        e_smooth.append(s)
         zetas.append(zeta)
         gs.append(g)
         cs.append(-(zeta / g) * e_k)
@@ -350,9 +316,8 @@ def _vp_rows_iteration(vp: _VpRows, u, e, beta_s, live):
     wus = np.vecdot(w_tilde_hat, u).ravel().tolist()
     ubs = np.vecdot(u, beta_s).ravel().tolist()
     r2s = np.vecdot(beta_s, w_tilde_hat).ravel().tolist()
-    mus, rhos, zeta_min = [], [], []
-    for r1, g, h, wu, ub, r2, gp, mu_max, mu_prev, rho_prev in zip(
-            zetas, gs, hs, wus, ubs, r2s, vp.gamma_prime, vp.mu_max, vp.mu_prev, vp.rho_prev):
+    mus, rhos = [], []
+    for vp, r1, g, h, wu, ub, r2 in zip(vps, zetas, gs, hs, wus, ubs, r2s):
         ell = wu * ub
         # solve_optimal_params.  A non-finite g, h or ell makes det non-finite,
         # so the cheap test only passes when every moment is finite.
@@ -370,15 +335,16 @@ def _vp_rows_iteration(vp: _VpRows, u, e, beta_s, live):
         mu_star = 0.0 if 0.0 > mu_star else mu_star
         rho_star = 0.0 if 0.0 > rho_star else rho_star
         # smooth_and_clamp
-        mu_n = gp * mu_prev + (1.0 - gp) * mu_star
-        mu_n = mu_max if mu_max < mu_n else mu_n
-        rho_n = gp * rho_prev + (1.0 - gp) * rho_star
+        gp, mu_max = vp.gamma_prime, vp.mu_max
+        mu_n = gp * vp.mu_prev + (1.0 - gp) * mu_star
+        mu_n = vp.mu_prev = mu_max if mu_max < mu_n else mu_n
+        rho_n = vp.rho_prev = gp * vp.rho_prev + (1.0 - gp) * rho_star
         # propagate_model_msd, from the re-based model zeta / sigma_u2
         incr = (mu_n * mu_n * g + rho_n * rho_n * h + 2.0 * mu_n * rho_n * ell
                 - 2.0 * mu_n * r1 - 2.0 * rho_n * r2)
         xi = r1 / sigma_u2 + incr
-        zeta_min.append(sigma_u2 * (0.0 if 0.0 > xi else xi))
+        xi = vp.xi_model = 0.0 if 0.0 > xi else xi
+        vp.zeta_min = sigma_u2 * xi
         mus.append(mu_n)
         rhos.append(rho_n)
-    vp.e_smooth, vp.zeta_min, vp.mu_prev, vp.rho_prev = e_smooth, zeta_min, mus, rhos
     return np.array(mus).reshape(e.shape), np.array(rhos).reshape(e.shape)

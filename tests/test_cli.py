@@ -73,6 +73,10 @@ def _vp_config(experiment):
             "[algorithm:vp-gza]\nmode = gza\nvariable = true\n")
 
 
+def _fixed_config(algorithm):
+    return f"[experiment]\nruns = 1\niterations = 50\n\n[algorithm:fixed]\n{algorithm}"
+
+
 _AR1 = "input = ar1-mixture\n"
 
 
@@ -93,10 +97,18 @@ _AR1 = "input = ar1-mixture\n"
         (_vp_config(_AR1 + "ar_sigma_v2 = inf\n"),
          "innovation variance must be positive and finite, got inf"),
         (_vp_config("noise_variance = inf\n"), "noise variance must be finite, got inf"),
+        # fixed parameters that would only run into a NaN curve
+        (_fixed_config("mu = nan\n"),
+         "fixed mu and rho must be finite and nonnegative, got mu=nan, rho=0.0"),
+        (_fixed_config("mu = inf\n"),
+         "fixed mu and rho must be finite and nonnegative, got mu=inf, rho=0.0"),
+        (_fixed_config("mode = gza\nmu = 0.01\nrho = nan\n"),
+         "fixed mu and rho must be finite and nonnegative, got mu=0.01, rho=nan"),
     ],
     ids=["negative-master-seed", "no-algorithm-section", "zero-input-variance",
          "negative-input-variance", "nan-input-variance", "inf-input-variance",
-         "ar-alpha-above-one", "inf-ar-a", "nan-ar-a", "inf-ar-sigma-v2", "inf-noise-variance"],
+         "ar-alpha-above-one", "inf-ar-a", "nan-ar-a", "inf-ar-sigma-v2", "inf-noise-variance",
+         "nan-fixed-mu", "inf-fixed-mu", "nan-fixed-rho"],
 )
 def test_unrunnable_config_file_rejected_before_running(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"

@@ -1,6 +1,7 @@
 """Unit tests for config parsing, serialization and the built-in experiments."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,9 @@ def test_algorithm_spec_validation():
         AlgorithmSpec(name="x", mode="zippy")
     with pytest.raises(ConfigError):
         AlgorithmSpec(name="x", mu=-0.1)
+    for bad in (dict(mu=math.nan), dict(mu=math.inf), dict(mode="gza", rho=math.nan)):
+        with pytest.raises(ConfigError, match="finite"):
+            AlgorithmSpec(name="x", **bad)
     with pytest.raises(ConfigError):
         AlgorithmSpec(name="x", variable=True, gamma=1.0)
     with pytest.raises(ConfigError):

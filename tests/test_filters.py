@@ -1,5 +1,7 @@
 """Unit tests for the adaptive filter update engines."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -69,6 +71,9 @@ def test_config_rejects_negative_parameters():
         FilterConfig(L=4, partition=p, mu=-0.1)
     with pytest.raises(ValueError):
         FilterConfig(L=4, partition=p, rho=-1e-9)
+    for bad in (dict(mu=math.nan), dict(mu=math.inf), dict(rho=math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            FilterConfig(L=4, partition=p, **bad)
 
 
 def test_initial_state_is_all_zero():

@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -421,24 +421,118 @@ def test_block_rows_match_scalar_fold_through_every_vp_branch(monkeypatch):
             assert_array_equal(lam_row, _lambda(mus, rhos))
 
 
-def test_vp_rows_reset_zeroes_only_the_masked_rows():
-    """A diverged VP row restarts from the fresh state; the other rows keep
-    their memory."""
+def _random_vp_step(rng, modes, runs, L=35):
+    """Inputs for one ``_vp_rows_iteration`` step over ``len(modes) x runs``
+    rows: ``(u, e, beta_s)``, with zero ``beta_s`` rows for plain LMS and an
+    error scale that varies from step to step."""
+    u = rng.normal(size=(runs, L))
+    e = 10.0 ** rng.uniform(-3.0, 0.5) * rng.normal(size=(len(modes), runs))
+    attracted = np.array([[mode is not None] for mode in modes], dtype=float)
+    return u, e, 0.01 * rng.normal(size=(len(modes), runs, L)) * attracted[..., None]
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from([None, "gza", "grza"]),
+                            st.sampled_from([0.0, 0.9, 0.95]),
+                            st.sampled_from([0.0, 0.5, 0.95]),
+                            st.sampled_from([None, 0.004, 0.05])),
+                  min_size=1, max_size=4),
+    runs=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_vp_rows_state_matches_scalar_fold(rows, runs, seed):
+    """After every step of ``_vp_rows_iteration``, each row's whole
+    ``VpState`` (``xi_model`` included) and its ``(mu, rho)`` equal what
+    folding ``vp_iteration`` over that row alone leaves."""
+    L, sigma_z2, sigma_u2 = 35, 0.01, 1.0
+    partition = GroupPartition.contiguous(L, 5)
+    fcfgs = [FilterConfig(L, partition, AttractorMode(mode, 0.1) if mode else None)
+             for mode, *_ in rows]
+    vps, refs = ([VpState.for_filter(L, sigma_z2, sigma_u2, *params)
+                  for _, *params in rows for _ in range(runs)] for _ in range(2))
+    live = np.ones((len(rows), runs), dtype=bool)
+    state = initial_state(L)
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        u, e, beta_s = _random_vp_step(rng, [mode for mode, *_ in rows], runs, L)
+        mu, rho = gslms.varparam._vp_rows_iteration(vps, u, e, beta_s, live)
+        for k, (vp, ref) in enumerate(zip(vps, refs)):
+            a, r = divmod(k, runs)
+            scalar = vp_iteration(ref, state, fcfgs[a], u[r], float(e[a, r]), beta_s[a, r])
+            assert (mu[a, r], rho[a, r]) == scalar
+            assert asdict(vp) == asdict(ref)
+
+
+def test_vp_row_restart_leaves_other_rows_unchanged():
+    """A VP row swapped for a fresh ``VpState`` steps on from that state;
+    every other row's state and output keeps its bits."""
     specs = [_ENGINE_ALGORITHMS["vp-gza"], _ENGINE_ALGORITHMS["vp-grza"]]
-    rows = gslms.varparam._VpRows.fresh(35, 0.01, 1.0, specs, 3)
+
+    def fresh(spec):
+        return VpState.for_filter(35, 0.01, 1.0, spec.gamma, spec.gamma_prime, spec.mu_max)
+
+    rows, restarted = ([fresh(s) for s in specs for _ in range(3)] for _ in range(2))
+    alone = [fresh(specs[1])]
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        gslms.varparam._vp_rows_iteration(
-            rows, rng.normal(size=(3, 35)), rng.normal(size=(2, 3)),
-            0.01 * rng.normal(size=(2, 3, 35)), np.ones((2, 3), dtype=bool))
-    memory = ("e_smooth", "zeta_min", "mu_prev", "rho_prev")
-    before = {name: list(getattr(rows, name)) for name in memory}
-    assert all(before[name][3] != 0.0 for name in ("e_smooth", "mu_prev"))
-    mask = np.zeros((2, 3), dtype=bool)
-    mask[1, 0] = True
-    rows.reset(mask)
-    for name in memory:
-        assert getattr(rows, name) == [0.0 if k == 3 else v for k, v in enumerate(before[name])]
+    live = np.ones((2, 3), dtype=bool)
+    for n in range(10):
+        u, e, beta_s = _random_vp_step(rng, ["gza", "grza"], 3)
+        if n == 5:
+            assert asdict(restarted[3]) != asdict(alone[0])
+            restarted[3] = fresh(specs[1])
+        mu, rho = gslms.varparam._vp_rows_iteration(rows, u, e, beta_s, live)
+        mu_re, rho_re = gslms.varparam._vp_rows_iteration(restarted, u, e, beta_s, live)
+        keep = np.ones((2, 3), dtype=bool)
+        if n >= 5:
+            keep[1, 0] = False
+            mu_alone, rho_alone = gslms.varparam._vp_rows_iteration(
+                alone, u[:1], e[1:, :1], beta_s[1:, :1], live[:1, :1])
+            assert (mu_re[1, 0], rho_re[1, 0]) == (mu_alone[0, 0], rho_alone[0, 0])
+            assert asdict(restarted[3]) == asdict(alone[0])
+        assert_array_equal(mu_re[keep], mu[keep])
+        assert_array_equal(rho_re[keep], rho[keep])
+        for k in np.flatnonzero(keep).tolist():
+            assert asdict(restarted[k]) == asdict(rows[k])
+    assert mu_re[1, 0] != mu[1, 0]
+
+
+def test_block_restarts_a_diverged_vp_row_from_a_fresh_state(monkeypatch):
+    """When a VP row's update leaves the finite range, the block gives that
+    row a fresh ``VpState`` for its next step; the other rows' states and
+    sums keep their bits."""
+    cfg = _small_cfg(runs=3, iterations=40, algorithms=(
+        _ENGINE_ALGORITHMS["vp-gza"], _ENGINE_ALGORITHMS["vp-grza"]))
+    rows_iteration = gslms.harness._vp_rows_iteration
+
+    def block(spike):
+        seen = []
+
+        def traced(vps, u, e, beta_s, live):
+            seen.append([asdict(vp) for vp in vps])
+            mu, rho = rows_iteration(vps, u, e, beta_s, live)
+            if spike and len(seen) == 20:
+                mu[1, 1] = np.inf  # row (vp-grza, run 1) diverges at iteration 19
+            return mu, rho
+
+        monkeypatch.setattr(gslms.harness, "_vp_rows_iteration", traced)
+        with np.errstate(invalid="ignore", over="ignore"):
+            _, out = gslms.harness._advance_block(cfg, 0, 3)
+        return seen, out
+
+    seen, out = block(spike=True)
+    clean_seen, clean = block(spike=False)
+    spec = _ENGINE_ALGORITHMS["vp-grza"]
+    fresh = VpState.for_filter(35, cfg.sigma_z2, cfg.sigma_u2, spec.gamma,
+                               spec.gamma_prime, spec.mu_max)
+    assert out["vp-grza"][4] == [[1, 19]]
+    assert seen[19][4] != asdict(fresh) and seen[20][4] == asdict(fresh)
+    for step, clean_step in zip(seen, clean_seen):
+        assert [s for k, s in enumerate(step) if k != 4] == \
+            [s for k, s in enumerate(clean_step) if k != 4]
+    assert out["vp-gza"][4] == []
+    for i in range(3):
+        assert_array_equal(out["vp-gza"][i], clean["vp-gza"][i])
 
 
 def test_blocks_depend_on_run_count_only():
