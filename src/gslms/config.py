@@ -90,8 +90,11 @@ class ExperimentConfig:
         L = benchmark_schedule().L
         if not 1 <= self.group_size <= L:
             raise ConfigError(f"group size must lie in [1, {L}] (the plant length)")
-        if not self.epsilon > 0:
-            raise ConfigError("epsilon must be positive")
+        # The GRZA weight at a zero group is 1 / epsilon; past the float range
+        # it is inf, and inf * 0 turns the attractor into NaN.
+        if not (0 < self.epsilon < math.inf and 1.0 / self.epsilon < math.inf):
+            raise ConfigError(f"epsilon must be positive with a finite 1/epsilon, "
+                              f"got {self.epsilon}")
         if not self.sigma_z2 >= 0:
             raise ConfigError("noise variance must be nonnegative")
         if not math.isfinite(self.sigma_z2):

@@ -157,11 +157,7 @@ def attractor_direction(w: np.ndarray, p: GroupPartition) -> np.ndarray:
     above :data:`ZERO_GROUP_TOL` and the zero subvector otherwise, so every
     group of the result has Euclidean norm one or zero.
     """
-    w = _check_length(w, p)
-    norms = group_norms(w, p)
-    # Dividing by +inf sends zero groups to exactly 0 without branching.
-    safe = np.where(norms > ZERO_GROUP_TOL, norms, np.inf)
-    return w / safe.repeat(p.sizes, axis=-1)
+    return _attractor_rows(_check_length(w, p), p, 0.0, None)
 
 
 def beta_weights(w: np.ndarray, p: GroupPartition, mode: AttractorMode) -> np.ndarray:
@@ -183,6 +179,26 @@ def expand_group_vector(per_group: np.ndarray, p: GroupPartition) -> np.ndarray:
     return np.repeat(per_group, p.sizes, axis=-1)
 
 
+def _attractor_rows(w: np.ndarray, p: GroupPartition, epsilon: float,
+                    grza: slice | None, out: np.ndarray | None = None) -> np.ndarray:
+    """The GZA attractor of every vector of ``w``, reweighted on rows ``grza``.
+
+    ``grza`` indexes the leading axis (a slice, or None for no row); those
+    rows get the GRZA product with this ``epsilon`` and the others keep the
+    GZA direction, whose bits a multiplication by one would not change.
+    The result is written into ``out`` when given.  Every row is
+    bit-identical to :func:`attractor_term` on that row alone with its own
+    mode; the group norms are computed once for all rows.
+    """
+    norms = np.sqrt(np.add.reduceat(w * w, p.starts, axis=-1))
+    # Dividing by +inf sends zero groups to exactly 0 without branching.
+    safe = np.where(norms > ZERO_GROUP_TOL, norms, np.inf)
+    s = np.divide(w, safe.repeat(p.sizes, axis=-1), out=out)
+    if grza is not None:
+        s[grza] *= (1.0 / (norms[grza] + epsilon)).repeat(p.sizes, axis=-1)
+    return s
+
+
 def attractor_term(w: np.ndarray, p: GroupPartition, mode: AttractorMode) -> np.ndarray:
     """The Hadamard product of expanded beta weights and attractor direction.
 
@@ -193,11 +209,4 @@ def attractor_term(w: np.ndarray, p: GroupPartition, mode: AttractorMode) -> np.
     :func:`attractor_direction` by hand, but computes the group norms once.
     """
     w = _check_length(w, p)
-    norms = np.sqrt(np.add.reduceat(w * w, p.starts, axis=-1))
-    safe = np.where(norms > ZERO_GROUP_TOL, norms, np.inf)
-    s = w / safe.repeat(p.sizes, axis=-1)
-    if mode.tag == GZA:
-        # beta is identically one; multiplying by it would be a bit-exact no-op.
-        return s
-    beta = 1.0 / (norms + mode.epsilon)
-    return beta.repeat(p.sizes, axis=-1) * s
+    return _attractor_rows(w, p, mode.epsilon, slice(None) if mode.tag == GRZA else None)

@@ -11,6 +11,7 @@ participate.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 from bisect import bisect_left, bisect_right
@@ -19,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, filters
+from . import __version__, groups
 from .config import ExperimentConfig, config_hash, serialize_config
-from .groups import GRZA, GZA, AttractorMode, GroupPartition
+from .groups import GRZA, GZA, GroupPartition
 from .signals import PlantSchedule, benchmark_schedule, scalar_stream, simulate_plant
 from .varparam import VpState, _vp_rows_iteration
 
@@ -90,11 +91,12 @@ def _blocks(runs: int) -> list[tuple[int, int]]:
     return out
 
 
-# Row order inside a block, by (variable, mode): each attractor mode's rows
-# and the variable rows are contiguous, so every subset a step reads or
-# writes is a slice (a view), never a gathered copy.
-_ROW_RANK = {(False, None): 0, (False, GZA): 1, (True, GZA): 2,
-             (True, None): 3, (True, GRZA): 4, (False, GRZA): 5}
+# Row order inside a block, by (variable, mode): lms, vp-lms, vp-gza,
+# vp-grza, grza, gza.  The variable rows (ranks 1-3), the attractor rows
+# (2-5) and the GRZA rows (3-4) are each contiguous, so every subset a step
+# reads or writes is a slice (a view), never a gathered copy.
+_ROW_RANK = {(False, None): 0, (True, None): 1, (True, GZA): 2,
+             (True, GRZA): 3, (False, GRZA): 4, (False, GZA): 5}
 
 
 def _rank_slice(ranks: list[int], lo: int, hi: int) -> slice:
@@ -136,7 +138,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
 
     specs = sorted(cfg.algorithms, key=lambda s: _ROW_RANK[s.variable, s.mode])
     ranks = [_ROW_RANK[s.variable, s.mode] for s in specs]
-    variable = _rank_slice(ranks, 2, 4)
+    variable = _rank_slice(ranks, 1, 3)
     V = len(specs[variable])
 
     def fresh_vp(k):
@@ -145,19 +147,26 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
         return VpState.for_filter(L, cfg.sigma_z2, cfg.sigma_u2, s.gamma, s.gamma_prime, s.mu_max)
 
     vps = [fresh_vp(k) for k in range(V * R)]
-    # One attractor evaluation per mode and step.  A fixed row with rho = 0
-    # gets one too: its weights are never -0.0, so subtracting 0 * beta_s
-    # leaves them bit for bit as an update without the term would.
-    attractors = [(rows, AttractorMode(tag, cfg.epsilon))
-                  for rows, tag in ((_rank_slice(ranks, 1, 2), GZA),
-                                    (_rank_slice(ranks, 4, 5), GRZA))
-                  if rows.stop > rows.start]
+    # One attractor evaluation per step over the attractor rows, GRZA rows
+    # (``grza``, relative to ``attract``) reweighted.  A fixed row with
+    # rho = 0 gets one too: its weights are never -0.0, so subtracting
+    # 0 * beta_s leaves them bit for bit as an update without the term would.
+    attract = _rank_slice(ranks, 2, 5)
+    grza = _rank_slice(ranks, 3, 4)
+    grza = slice(grza.start - attract.start, grza.stop - attract.start)
+    attracting = attract.stop > attract.start
     mu = np.repeat(np.array([[s.mu] for s in specs]), R, axis=1)
     rho = np.repeat(np.array([[s.rho if s.mode else 0.0] for s in specs]), R, axis=1)
     # Plain-LMS rows keep a zero attractor, so ``rho * beta_s`` is zero there.
     beta_s = np.zeros((A, R, L))
     w = np.zeros((A, R, L))
+    # Per-step buffers.  They, ``w``, ``beta_s``, ``mu``, ``rho`` and ``live``
+    # are only written in place, so views of them taken once stay valid.
+    me, tmp, diff = np.empty((A, R)), np.empty((A, R, L)), np.empty((A, R, L))
     live = np.ones((A, R), dtype=bool)
+    me_col, rho_col = me[..., None], rho[..., None]
+    w_attract, beta_s_attract = w[attract], beta_s[attract]
+    beta_s_variable, live_variable = beta_s[variable], live[variable]
     diverged_at = np.full((A, R), -1)
     counted = np.array([[(s.name, first + r) not in dropped for r in range(R)] for s in specs])
 
@@ -184,28 +193,34 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
             j = i % CHUNK_STEPS
             u = xr[:, N - 1 - i:N - 1 - i + L]
             e = d[i] - np.vecdot(w, u)
-            for rows, mode in attractors:
-                # Looked up on ``filters`` so a wrapper installed there (the
-                # perfbench tracer) sees every evaluation.
-                beta_s[rows] = filters.attractor_term(w[rows], partition, mode)
+            if attracting:
+                # Looked up on ``groups`` so a wrapper installed there (a
+                # tracer) sees every evaluation.
+                groups._attractor_rows(w_attract, partition, cfg.epsilon, grza,
+                                       out=beta_s_attract)
             if V:
-                mu_v, rho_v = _vp_rows_iteration(vps, u, e[variable], beta_s[variable],
-                                                 live[variable])
+                mu_v, rho_v = _vp_rows_iteration(vps, u, e[variable], beta_s_variable,
+                                                 live_variable)
                 mu[variable] = mu_buf[j] = mu_v
                 rho[variable] = rho_buf[j] = rho_v
-            w_next = w + (mu * e)[..., None] * u
-            if attractors:
-                w_next -= rho[..., None] * beta_s
-            finite = np.isfinite(w_next.sum(axis=-1))
-            if not finite.all():
-                diverged_at[live & ~finite] = i
-                live &= finite
-                w_next[~finite] = 0.0
-                for k in np.flatnonzero(~finite[variable]).tolist():
-                    vps[k] = fresh_vp(k)
-            diff = w_next - w_star
-            msd_buf[j] = np.vecdot(diff, diff)
-            w = w_next
+            # w += mu e u - rho beta_s, in the order ``filters.step`` adds.
+            np.multiply(mu, e, out=me)
+            w += np.multiply(me_col, u, out=tmp)
+            if attracting:
+                w -= np.multiply(rho_col, beta_s, out=tmp)
+            msd = np.vecdot(np.subtract(w, w_star, out=diff), diff, out=msd_buf[j])
+            # A row whose sum leaves the finite range holds a non-finite or
+            # overflowing entry, so its MSD is not finite either: a finite
+            # MSD total clears every row without the per-row test.
+            if not math.isfinite(msd.sum()):
+                finite = np.isfinite(w.sum(axis=-1))
+                if not finite.all():
+                    diverged_at[live & ~finite] = i
+                    live &= finite
+                    w[~finite] = 0.0
+                    for k in np.flatnonzero(~finite[variable]).tolist():
+                        vps[k] = fresh_vp(k)
+                    np.vecdot(np.subtract(w, w_star, out=diff), diff, out=msd)
             if j == CHUNK_STEPS - 1 or i == N - 1:
                 add_chunk(i - j, i + 1)
 

@@ -104,11 +104,18 @@ _AR1 = "input = ar1-mixture\n"
          "fixed mu and rho must be finite and nonnegative, got mu=inf, rho=0.0"),
         (_fixed_config("mode = gza\nmu = 0.01\nrho = nan\n"),
          "fixed mu and rho must be finite and nonnegative, got mu=0.01, rho=nan"),
+        # an epsilon whose GRZA weight 1 / epsilon overflows at a zero group
+        ("[experiment]\nruns = 1\niterations = 50\nepsilon = 1e-320\n\n"
+         "[algorithm:grza]\nmode = grza\nmu = 0.01\nrho = 1e-4\n",
+         "epsilon must be positive with a finite 1/epsilon, got 1e-320"),
+        ("[experiment]\nruns = 1\niterations = 50\nepsilon = inf\n\n"
+         "[algorithm:grza]\nmode = grza\nmu = 0.01\nrho = 1e-4\n",
+         "epsilon must be positive with a finite 1/epsilon, got inf"),
     ],
     ids=["negative-master-seed", "no-algorithm-section", "zero-input-variance",
          "negative-input-variance", "nan-input-variance", "inf-input-variance",
          "ar-alpha-above-one", "inf-ar-a", "nan-ar-a", "inf-ar-sigma-v2", "inf-noise-variance",
-         "nan-fixed-mu", "inf-fixed-mu", "nan-fixed-rho"],
+         "nan-fixed-mu", "inf-fixed-mu", "nan-fixed-rho", "tiny-epsilon", "inf-epsilon"],
 )
 def test_unrunnable_config_file_rejected_before_running(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"

@@ -46,6 +46,8 @@ def test_defaults_are_valid():
         dict(group_size=0),
         dict(group_size=36),
         dict(epsilon=0.0),
+        dict(epsilon=1e-320),
+        dict(epsilon=float("inf")),
         dict(sigma_z2=-0.01),
         dict(format="xml"),
         dict(master_seed=-1),

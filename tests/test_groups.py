@@ -14,6 +14,7 @@ from gslms.groups import (
     ZERO_GROUP_TOL,
     AttractorMode,
     GroupPartition,
+    _attractor_rows,
     attractor_direction,
     attractor_term,
     beta_weights,
@@ -367,6 +368,56 @@ def test_operators_on_stacks_match_rows_bitwise(group_size, A, R, seed, epsilon)
             assert_array_equal(directions[a, r], attractor_direction(W[a, r], p))
             assert_array_equal(expanded[a, r], expand_group_vector(norms[a, r], p))
             assert l12[a, r] == l12_norm(W[a, r], p)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([1, 5, 9, 35]),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+    st.integers(min_value=0, max_value=2**16),
+    st.floats(min_value=1e-2, max_value=1.0),
+)
+def test_attractor_rows_match_attractor_term_bitwise(group_size, K, R, data, seed, epsilon):
+    """The one-pass attractor over a ``(K, R, L)`` stack, GRZA on any
+    leading-axis row range (none, some or all) and GZA elsewhere, gives each
+    row the bits of ``attractor_term`` on that row alone with its own mode,
+    written into a view of a larger buffer; zero groups included."""
+    lo = data.draw(st.integers(min_value=0, max_value=K), label="lo")
+    hi = data.draw(st.integers(min_value=lo, max_value=K), label="hi")
+    rng = np.random.default_rng(seed)
+    L = 35
+    p = GroupPartition.contiguous(L, group_size)
+    W = rng.normal(size=(K, R, L)) * rng.uniform(1e-3, 10.0, size=(K, R, 1))
+    W[rng.random(size=(K, R, L)) < 0.3] = 0.0
+    start, stop = p.bounds[rng.integers(p.J)]
+    W[rng.random(size=(K, R)) < 0.5, start:stop] = 0.0  # exact-zero groups
+    buffer = np.full((K + 2, R, L), np.nan)
+    out = buffer[1:K + 1]
+    assert _attractor_rows(W, p, epsilon, slice(lo, hi), out=out) is out
+    assert np.isnan(buffer[0]).all() and np.isnan(buffer[-1]).all()
+    assert_array_equal(_attractor_rows(W, p, epsilon, slice(lo, hi)), out)
+    for k in range(K):
+        mode = AttractorMode(GRZA, epsilon) if lo <= k < hi else AttractorMode(GZA)
+        for r in range(R):
+            assert_array_equal(out[k, r], attractor_term(W[k, r], p, mode))
+
+
+@pytest.mark.parametrize("group_size", [1, 5, 9, 35])
+def test_attractor_rows_on_one_vector(group_size):
+    """On 1-D input, no GRZA rows gives the GZA direction and ``slice(None)``
+    the GRZA product, bit for bit as the formula written out by hand."""
+    p = GroupPartition.contiguous(35, group_size)
+    w = np.random.default_rng(group_size).normal(size=35)
+    w[p.bounds[-1][0]:] = 0.0
+    norms = np.sqrt(np.add.reduceat(w * w, p.starts))
+    s = w / np.where(norms > ZERO_GROUP_TOL, norms, np.inf).repeat(p.sizes)
+    grza = (1.0 / (norms + 0.1)).repeat(p.sizes) * s
+    assert_array_equal(_attractor_rows(w, p, 0.1, None), s)
+    assert_array_equal(_attractor_rows(w, p, 0.1, slice(None)), grza)
+    assert_array_equal(attractor_term(w, p, AttractorMode(GZA)), s)
+    assert_array_equal(attractor_term(w, p, AttractorMode(GRZA, 0.1)), grza)
 
 
 def test_operators_reject_wrong_trailing_length():

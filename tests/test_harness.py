@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 import gslms.filters
+import gslms.groups
 import gslms.harness
 import gslms.varparam
 from gslms.config import (
@@ -171,9 +172,9 @@ def test_learning_curve_rejects_negative_msd():
 
 
 def test_engine_skips_scalar_update_and_shares_one_attractor_call(monkeypatch):
-    """The block engine never calls the scalar ``step``/``vp_iteration``,
-    and evaluates the attractor once per mode and block-step: exp1 has both
-    modes, and 45 runs make three blocks."""
+    """The block engine never calls the scalar ``step``/``vp_iteration`` or
+    ``attractor_term``, and evaluates the attractor once per block-step, both
+    modes in one call: 45 runs make three blocks."""
     calls = {}
 
     def count(module, attr, key):
@@ -191,8 +192,10 @@ def test_engine_skips_scalar_update_and_shares_one_attractor_call(monkeypatch):
     count(gslms.varparam, "vp_iteration", "vp_iteration")
     count(gslms.filters, "attractor_term", "attractor_term")
     count(gslms.varparam, "attractor_term", "varparam.attractor_term")
+    count(gslms.groups, "attractor_term", "attractor_term")
+    count(gslms.groups, "_attractor_rows", "_attractor_rows")
     run_experiment(replace(builtin_config("exp1"), runs=45, iterations=100))
-    assert calls == {"attractor_term": 2 * 3 * 100}
+    assert calls == {"_attractor_rows": 3 * 100}
 
 
 def test_single_loop_matches_reference_step_fold():
