@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .groups import GRZA, GZA
+from .groups import GRZA, GZA, _usable_epsilon
 from .signals import (
     AR1GaussianMixture, InputProcess, WhiteGaussian, benchmark_schedule, stationary_power,
 )
@@ -90,9 +90,7 @@ class ExperimentConfig:
         L = benchmark_schedule().L
         if not 1 <= self.group_size <= L:
             raise ConfigError(f"group size must lie in [1, {L}] (the plant length)")
-        # The GRZA weight at a zero group is 1 / epsilon; past the float range
-        # it is inf, and inf * 0 turns the attractor into NaN.
-        if not (0 < self.epsilon < math.inf and 1.0 / self.epsilon < math.inf):
+        if not _usable_epsilon(self.epsilon):
             raise ConfigError(f"epsilon must be positive with a finite 1/epsilon, "
                               f"got {self.epsilon}")
         if not self.sigma_z2 >= 0:

@@ -12,6 +12,7 @@ stacked result is bit-identical to the call on that row alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,8 @@ class AttractorMode:
     """Which group attractor to apply: uniform (GZA) or reweighted (GRZA).
 
     ``epsilon`` sets the scale at which the reweighted attractor saturates;
-    it is only meaningful (and must be positive) in GRZA mode.
+    it is only meaningful in GRZA mode, where it must pass
+    :func:`_usable_epsilon`.
     """
 
     tag: str
@@ -53,8 +55,16 @@ class AttractorMode:
     def __post_init__(self):
         if self.tag not in (GZA, GRZA):
             raise ValueError(f"unknown attractor tag {self.tag!r}")
-        if self.tag == GRZA and not self.epsilon > 0:
-            raise ValueError("GRZA mode requires epsilon > 0")
+        if self.tag == GRZA and not _usable_epsilon(self.epsilon):
+            raise ValueError(f"GRZA mode requires a positive epsilon with a finite "
+                             f"1/epsilon, got {self.epsilon}")
+
+
+def _usable_epsilon(epsilon: float) -> bool:
+    """Finite and positive with a finite ``1 / epsilon``: the GRZA weight at a
+    zero group is ``1 / epsilon``, and past the float range ``inf * 0`` turns
+    the attractor into NaN."""
+    return 0 < epsilon < math.inf and 1.0 / epsilon < math.inf
 
 
 @dataclass(frozen=True)

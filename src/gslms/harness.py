@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__, groups
-from .config import ExperimentConfig, config_hash, serialize_config
+from .config import AlgorithmSpec, ExperimentConfig, config_hash, serialize_config
 from .groups import GRZA, GZA, GroupPartition
 from .signals import PlantSchedule, benchmark_schedule, scalar_stream, simulate_plant
 from .varparam import VpState, _vp_rows_iteration
@@ -103,24 +103,30 @@ def _rank_slice(ranks: list[int], lo: int, hi: int) -> slice:
     return slice(bisect_left(ranks, lo), bisect_right(ranks, hi))
 
 
+def _row_specs(cfg: ExperimentConfig) -> list[AlgorithmSpec]:
+    """``cfg.algorithms`` in block row order (:data:`_ROW_RANK`)."""
+    return sorted(cfg.algorithms, key=lambda s: _ROW_RANK[s.variable, s.mode])
+
+
 def _advance_block(cfg: ExperimentConfig, first: int, count: int,
-                   dropped: frozenset = frozenset()):
+                   dropped: Optional[np.ndarray] = None):
     """Every algorithm over runs ``first .. first+count-1`` as one state.
 
-    The weights are an ``(A, R, L)`` stack (algorithms x runs x taps), and
-    each time step is one set of numpy operations over the whole stack.
-    Row ``(a, r)`` is bit-identical to folding ``filters.step`` (and
-    ``varparam.vp_iteration``) over run ``first + r`` alone: every row dot
-    product is a ``vecdot``, which is ``np.dot`` on each row.
+    The weights are an ``(A, R, L)`` stack (algorithms in :func:`_row_specs`
+    order x runs x taps), and each time step is one set of numpy operations
+    over the whole stack.  Row ``(a, r)`` is bit-identical to folding
+    ``filters.step`` (and ``varparam.vp_iteration``) over run ``first + r``
+    alone: every row dot product is a ``vecdot``, which is ``np.dot`` on each
+    row.
 
-    Returns the runs' input powers and, per algorithm name, ``(msd, mu,
-    lambda, runs_used, diverged)``: the first three are sums over the
-    block's runs, added in run order, that leave out the ``(name, run)``
-    pairs in ``dropped`` (``mu``/``lambda`` are None for fixed algorithms).
-    ``diverged`` lists ``[run, iteration]`` for each row whose update left
-    the finite range, the iteration being the 0-based index of that update
-    (as ``DivergenceError.iteration``); such a row restarts from zero, and
-    no other row changes.
+    Returns ``(powers, msd_sum, mu_sum, lam_sum, diverged_at)``: the runs'
+    input powers; the ``(N, A)`` MSD sums and the ``(N, V)`` mu and lambda
+    sums of the V variable rows, each added over the block's runs in run
+    order and leaving out the rows that the ``(A, R)`` mask ``dropped``
+    sets; and the ``(A, R)`` iteration at which each row's update left the
+    finite range (the 0-based index of that update, as
+    ``DivergenceError.iteration``), or -1.  A diverged row restarts from
+    zero, and no other row changes.
     """
     schedule = experiment_schedule(cfg)
     L, N, A, R = schedule.L, cfg.iterations, len(cfg.algorithms), count
@@ -136,7 +142,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
         d[:, k], xr[k] = stream.d, stream.x_rev
         powers.append(float(np.mean(x * x)) if x.size else 0.0)
 
-    specs = sorted(cfg.algorithms, key=lambda s: _ROW_RANK[s.variable, s.mode])
+    specs = _row_specs(cfg)
     ranks = [_ROW_RANK[s.variable, s.mode] for s in specs]
     variable = _rank_slice(ranks, 1, 3)
     V = len(specs[variable])
@@ -168,7 +174,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     w_attract, beta_s_attract = w[attract], beta_s[attract]
     beta_s_variable, live_variable = beta_s[variable], live[variable]
     diverged_at = np.full((A, R), -1)
-    counted = np.array([[(s.name, first + r) not in dropped for r in range(R)] for s in specs])
+    counted = np.ones((A, R), dtype=bool) if dropped is None else ~dropped
 
     # Per-row values wait in a buffer of CHUNK_STEPS steps, then each run's
     # rows are added to the sums in run order; an uncounted row adds +0.0,
@@ -224,48 +230,39 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
             if j == CHUNK_STEPS - 1 or i == N - 1:
                 add_chunk(i - j, i + 1)
 
-    out = {}
-    for a, spec in enumerate(specs):
-        v = a - variable.start
-        traces = (mu_sum[:, v].copy(), lam_sum[:, v].copy()) if spec.variable else (None, None)
-        used = int(counted[a].sum())
-        diverged = [[first + int(r), int(diverged_at[a, r])]
-                    for r in np.flatnonzero(diverged_at[a] >= 0)]
-        out[spec.name] = (msd_sum[:, a].copy(), *traces, used, diverged)
-    return powers, out
+    return powers, msd_sum, mu_sum, lam_sum, diverged_at
 
 
 def _run_block(args: tuple[ExperimentConfig, int, int]):
-    """Worker: one run block's input powers and per-algorithm sums over its
-    surviving runs (see :func:`_advance_block`)."""
+    """Worker: ``(first, result)`` for one run block, the result being
+    :func:`_advance_block`'s with the sums over the block's surviving rows."""
     cfg, first, count = args
-    powers, out = _advance_block(cfg, first, count)
-    failed = frozenset((name, run) for name, (*_, diverged) in out.items() for run, _ in diverged)
-    if failed:
+    result = _advance_block(cfg, first, count)
+    dropped = result[-1] >= 0
+    if dropped.any():
         # A row can fail after its earlier steps were added to the sums.
         # Rows are independent, so a second pass that leaves the failed
         # rows out from the start gives the sums over the survivors.
-        powers, out = _advance_block(cfg, first, count, failed)
-    return powers, out
+        result = _advance_block(cfg, first, count, dropped)
+    return first, result
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurve]:
     """Average the configured algorithms over ``cfg.runs`` paired realizations.
 
-    The runs are split into blocks (:func:`_blocks`) whose per-algorithm
-    sums are added in block order, so the result does not depend on
-    ``workers``.  A diverged run is dropped from that algorithm's average
-    and recorded with the iteration it failed at; the other algorithms keep
-    the run.
+    The runs are split into blocks (:func:`_blocks`) whose row sums are
+    added in block order, so the result does not depend on ``workers``.  A
+    diverged run is dropped from that algorithm's average and recorded with
+    the iteration it failed at; the other algorithms keep the run.
     """
     if not cfg.algorithms:
         raise ValueError("experiment config lists no algorithms")
     N = cfg.iterations
-    sums = {a.name: np.zeros(N) for a in cfg.algorithms}
-    mu_sums = {a.name: np.zeros(N) for a in cfg.algorithms if a.variable}
-    lam_sums = {a.name: np.zeros(N) for a in cfg.algorithms if a.variable}
-    used = {a.name: 0 for a in cfg.algorithms}
-    diverged = {a.name: [] for a in cfg.algorithms}
+    specs = _row_specs(cfg)
+    vp_specs = [s for s in specs if s.variable]
+    msd_sum = np.zeros((N, len(specs)))
+    mu_sum, lam_sum = np.zeros((N, len(vp_specs))), np.zeros((N, len(vp_specs)))
+    diverged = [[] for _ in specs]
     power_sum = 0.0
 
     tasks = [(cfg, first, count) for first, count in _blocks(cfg.runs)]
@@ -276,16 +273,14 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
         pool = multiprocessing.Pool(processes=min(workers, len(tasks)))
         results = pool.imap(_run_block, tasks)
     try:
-        for powers, per_alg in results:
+        for first, (powers, msd, mu, lam, diverged_at) in results:
             for power in powers:
                 power_sum += power
-            for name, (msd, mu_tr, lam_tr, n_used, failed) in per_alg.items():
-                sums[name] += msd
-                if mu_tr is not None:
-                    mu_sums[name] += mu_tr
-                    lam_sums[name] += lam_tr
-                used[name] += n_used
-                diverged[name] += failed
+            msd_sum += msd
+            mu_sum += mu
+            lam_sum += lam
+            for a, r in zip(*np.nonzero(diverged_at >= 0)):
+                diverged[a].append([first + int(r), int(diverged_at[a, r])])
     finally:
         if pool is not None:
             pool.close()
@@ -295,11 +290,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
     measured_power = power_sum / cfg.runs
     curves = []
     for spec in cfg.algorithms:
-        n_used = used[spec.name]
+        a = specs.index(spec)
+        n_used = cfg.runs - len(diverged[a])
         scale = 1.0 / n_used if n_used else np.nan
-        msd = sums[spec.name] * scale
-        mu_tr = mu_sums[spec.name] * scale if spec.variable else None
-        lam_tr = lam_sums[spec.name] * scale if spec.variable else None
+        mu_tr = lam_tr = None
+        if spec.variable:
+            v = vp_specs.index(spec)
+            mu_tr, lam_tr = mu_sum[:, v] * scale, lam_sum[:, v] * scale
         metadata = {
             "experiment": cfg.experiment,
             "algorithm": spec.name,
@@ -309,36 +306,36 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
             "master_seed": cfg.master_seed,
             "runs": cfg.runs,
             "runs_used": n_used,
-            "diverged_runs": cfg.runs - n_used,
-            "diverged": diverged[spec.name],
+            "diverged_runs": len(diverged[a]),
+            "diverged": diverged[a],
             "iterations": cfg.iterations,
             "measured_input_power": measured_power,
         }
-        curves.append(LearningCurve(name=spec.name, msd=msd, mu_trace=mu_tr,
+        curves.append(LearningCurve(name=spec.name, msd=msd_sum[:, a] * scale, mu_trace=mu_tr,
                                     lambda_trace=lam_tr, metadata=metadata))
     return curves
 
 
-def stage_windows(schedule: PlantSchedule, window: int = STEADY_STATE_WINDOW) -> list[tuple[int, int]]:
-    """Final ``window`` samples of each stage, clipped to the stage itself.
+def stage_windows(schedule: PlantSchedule) -> list[tuple[int, int]]:
+    """Final :data:`STEADY_STATE_WINDOW` samples of each stage, clipped to the
+    stage itself.
 
     Windows are half-open 0-based ranges and never cross a plant switch: the
     transition sample at a switch belongs to the *next* stage, whose error is
     dominated by the plant jump, not the previous steady state.
     """
     return [
-        (max(lo, hi - window), hi)
+        (max(lo, hi - STEADY_STATE_WINDOW), hi)
         for lo, hi in schedule.stage_bounds()
         if hi > lo
     ]
 
 
-def steady_state_db(msd: np.ndarray, schedule: PlantSchedule,
-                    window: int = STEADY_STATE_WINDOW) -> list[float]:
+def steady_state_db(msd: np.ndarray, schedule: PlantSchedule) -> list[float]:
     """Per-stage steady-state MSD in dB (mean of each stage's final window)."""
     return [
         float(10.0 * np.log10(np.mean(msd[lo:hi])))
-        for lo, hi in stage_windows(schedule, window)
+        for lo, hi in stage_windows(schedule)
     ]
 
 

@@ -101,10 +101,6 @@ class PlantSchedule:
         # sample i is 1-based iteration i+1
         return np.searchsorted(starts, np.arange(1, n_iterations + 1), side="right") - 1
 
-    def plant_matrix(self) -> np.ndarray:
-        """All segment weight vectors stacked as rows."""
-        return np.stack([w for _, w in self.segments])
-
     def stage_bounds(self) -> list[tuple[int, int]]:
         """Half-open 0-based sample ranges of each segment."""
         starts = [s - 1 for s, _ in self.segments] + [self.total_iterations]
@@ -119,23 +115,16 @@ def gen_white_gaussian(n: int, variance: float, seed) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(variance), size=n)
 
 
-def gen_ar1_mixture(
-    n: int,
-    alpha: float,
-    a: float,
-    sigma_v2: float,
-    seed,
-    burn_in: int = AR1_BURN_IN,
-) -> np.ndarray:
+def gen_ar1_mixture(n: int, alpha: float, a: float, sigma_v2: float, seed) -> np.ndarray:
     """``n`` samples of the AR(1) process with Gaussian-mixture innovations.
 
-    The recursion starts from zero and discards ``burn_in`` samples so the
-    returned stretch is approximately stationary.
+    The recursion starts from zero and discards :data:`AR1_BURN_IN` samples
+    so the returned stretch is approximately stationary.
     """
     if not abs(alpha) < 1:
         raise ValueError("AR coefficient must satisfy |alpha| < 1")
     rng = np.random.default_rng(seed)
-    total = n + burn_in
+    total = n + AR1_BURN_IN
     sigma_v = np.sqrt(sigma_v2)
     means = np.where(rng.random(total) < 0.5, a * sigma_v, -a * sigma_v)
     v = means + rng.normal(0.0, sigma_v, size=total)
@@ -146,7 +135,7 @@ def gen_ar1_mixture(
     for t, vt in enumerate(u):
         acc = vt + alpha * acc
         u[t] = acc
-    return np.array(u[burn_in:])
+    return np.array(u[AR1_BURN_IN:])
 
 
 def scalar_stream(process: InputProcess, n: int, seed) -> np.ndarray:

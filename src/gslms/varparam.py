@@ -182,13 +182,11 @@ def compute_instantaneous_moments(
     return float(h), float(ell), float(r2)
 
 
-def solve_optimal_params(
-    m: MomentEstimates, det_tol: float = DET_TOL
-) -> tuple[float, float]:
+def solve_optimal_params(m: MomentEstimates) -> tuple[float, float]:
     """Deviation-optimal ``(mu, rho)`` from the 2x2 normal equations.
 
     When the Hessian ``[[g, ell], [ell, h]]`` is safely positive definite
-    (relative determinant above ``det_tol``) the closed form applies;
+    (relative determinant above :data:`DET_TOL`) the closed form applies;
     otherwise the attractor direction is dropped and the pure-LMS optimum
     ``mu = r1/g, rho = 0`` is used.  Both returns are clamped at zero from
     below since the unconstrained solve does not enforce non-negativity.
@@ -199,7 +197,7 @@ def solve_optimal_params(
     if not g > 0:
         raise ModelError(f"normalization moment must be positive, got g={g}")
     det = g * h - ell * ell
-    if det > det_tol * g * max(h, _TINY):
+    if det > DET_TOL * g * max(h, _TINY):
         mu_star = (h * r1 - ell * r2) / det
         rho_star = (g * r2 - ell * r1) / det
     else:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from gslms.config import ExperimentConfig
 from gslms.groups import (
     GRZA,
     GZA,
@@ -280,6 +281,27 @@ def test_attractor_mode_validation():
     with pytest.raises(ValueError):
         AttractorMode(GRZA, 0.0)
     AttractorMode(GZA)  # epsilon not required
+
+
+@pytest.mark.parametrize("epsilon", [0.1, 1e-308, 1e-320, 5e-324, math.inf, math.nan, 0.0, -1.0])
+def test_attractor_mode_and_config_accept_the_same_epsilon(epsilon):
+    """A GRZA mode accepts exactly the ``epsilon`` an experiment config
+    accepts, finite and positive with a finite ``1 / epsilon``, and an
+    accepted one keeps the attractor at a zero group finite."""
+
+    def accepts(make):
+        try:
+            make()
+        except ValueError:  # ConfigError included
+            return False
+        return True
+
+    accepted = accepts(lambda: AttractorMode(GRZA, epsilon))
+    assert accepted == accepts(lambda: ExperimentConfig(epsilon=epsilon))
+    assert accepted == (epsilon in (0.1, 1e-308))
+    if accepted:
+        p = GroupPartition.contiguous(35, 5)
+        assert np.all(np.isfinite(attractor_term(np.zeros(35), p, AttractorMode(GRZA, epsilon))))
 
 
 # ---------------------------------------------------------------------------

@@ -157,6 +157,32 @@ def test_diverged_runs_are_counted_and_excluded(tmp_path):
     assert [c["diverged_runs"] for c in manifest["curves"]] == [2, 0]
 
 
+def test_divergence_across_blocks_merges_in_run_order():
+    """41 runs make three blocks, and the unstable row diverges in each: the
+    merged ``diverged`` list is sorted by run, each iteration is the scalar
+    fold's, the stable row's curve is the one it has without the unstable
+    row, and 1 and 2 workers agree."""
+    unstable = AlgorithmSpec(name="unstable", mu=1.0)
+    stable = AlgorithmSpec(name="grza", mode="grza", mu=0.02, rho=1e-4)
+    cfg = _small_cfg(runs=41, iterations=480, algorithms=(unstable, stable))
+    assert gslms.harness._blocks(41) == [(0, 14), (14, 14), (28, 13)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        serial = run_experiment(cfg, workers=1)
+        pooled = run_experiment(cfg, workers=2)
+        folds = [_scalar_fold(cfg, unstable, run)[3] for run in range(41)]
+    expected = [[0, 456], [6, 473], [8, 474], [10, 435], [22, 461], [23, 478], [35, 449]]
+    assert expected == [[run, it] for run, it in enumerate(folds) if it is not None]
+    assert serial[0].metadata["diverged"] == expected
+    assert serial[0].metadata["runs_used"] == 34
+    assert serial[1].metadata["diverged"] == []
+    assert serial[1].metadata["runs_used"] == 41
+    alone = run_experiment(replace(cfg, algorithms=(stable,)))[0]
+    assert_array_equal(serial[1].msd, alone.msd)
+    for c1, c2 in zip(serial, pooled):
+        assert c1.metadata == c2.metadata
+        assert_array_equal(c1.msd, c2.msd)
+
+
 def test_measured_input_power_recorded():
     cfg = _small_cfg(runs=4, iterations=2000)
     power = run_experiment(cfg)[0].metadata["measured_input_power"]
@@ -215,7 +241,7 @@ def test_single_loop_matches_reference_step_fold():
     schedule = experiment_schedule(cfg)
     x = scalar_stream(cfg.input, cfg.iterations, [cfg.master_seed, 0, 0])
     stream = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, 0, 1])
-    target = schedule.plant_matrix()[stream.plant_index]
+    target = np.stack([w for _, w in schedule.segments])[stream.plant_index]
     partition = GroupPartition.contiguous(schedule.L, cfg.group_size)
     for spec, curve in zip(cfg.algorithms, curves):
         fcfg = FilterConfig(schedule.L, partition, AttractorMode(spec.mode, cfg.epsilon),
@@ -243,7 +269,7 @@ def _scalar_fold(cfg, spec, run):
     schedule = experiment_schedule(cfg)
     x = scalar_stream(cfg.input, cfg.iterations, [cfg.master_seed, run, 0])
     stream = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, run, 1])
-    target = schedule.plant_matrix()[stream.plant_index]
+    target = np.stack([w for _, w in schedule.segments])[stream.plant_index]
     mode = AttractorMode(spec.mode, cfg.epsilon) if spec.mode else None
     fcfg = FilterConfig(schedule.L, GroupPartition.contiguous(schedule.L, cfg.group_size),
                         mode, mu=spec.mu, rho=spec.rho, variable_params=spec.variable)
@@ -283,6 +309,27 @@ def _lambda(mus, rhos):
     return [rho / mu if mu != 0.0 else 0.0 for mu, rho in zip(mus, rhos)]
 
 
+def _rows_by_name(cfg, first, result):
+    """``_advance_block``'s ``result`` for the block that starts at run
+    ``first``, indexed by algorithm name through ``_row_specs``: ``{name:
+    (msd_sum, mu_sum, lam_sum, diverged)}``, the sums being columns of the
+    row arrays (mu and lambda None for a fixed row) and ``diverged`` the
+    row's ``[run, iteration]`` pairs."""
+    specs = gslms.harness._row_specs(cfg)
+    vp_specs = [s for s in specs if s.variable]
+    _, msd, mu, lam, diverged_at = result
+    rows = {}
+    for a, spec in enumerate(specs):
+        traces = (None, None)
+        if spec.variable:
+            v = vp_specs.index(spec)
+            traces = (mu[:, v], lam[:, v])
+        diverged = [[first + int(r), int(diverged_at[a, r])]
+                    for r in np.flatnonzero(diverged_at[a] >= 0)]
+        rows[spec.name] = (msd[:, a], *traces, diverged)
+    return rows
+
+
 @settings(deadline=None, max_examples=25)
 @given(
     group_size=st.sampled_from([1, 5, 9, 35]),
@@ -296,20 +343,21 @@ def _lambda(mus, rhos):
 def test_block_rows_match_scalar_fold(group_size, count, first, names, colored, seed):
     """Every (algorithm, run) row of a block is bit-identical to folding the
     scalar ``vp_iteration``/``step`` over that run alone.  A block's sums
-    over a single counted run are that run's row."""
+    over a single counted run (``dropped`` masks the others) are that run's
+    row."""
     cfg = _small_cfg(
         runs=first + count, iterations=150, group_size=group_size, master_seed=seed,
         input=AR1GaussianMixture() if colored else WhiteGaussian(),
         algorithms=tuple(_ENGINE_ALGORITHMS[n] for n in names),
     )
-    runs = range(first, first + count)
-    for run in runs:
-        others = frozenset((name, other) for name in names for other in runs if other != run)
-        _, out = gslms.harness._advance_block(cfg, first, count, others)
+    for run in range(first, first + count):
+        dropped = np.ones((len(names), count), dtype=bool)
+        dropped[:, run - first] = False
+        rows = _rows_by_name(cfg, first, gslms.harness._advance_block(cfg, first, count, dropped))
         for spec in cfg.algorithms:
             msd, mus, rhos, diverged = _scalar_fold(cfg, spec, run)
-            msd_row, mu_row, lam_row, used, failed = out[spec.name]
-            assert diverged is None and failed == [] and used == 1
+            msd_row, mu_row, lam_row, failed = rows[spec.name]
+            assert diverged is None and failed == []
             assert_array_equal(msd_row, msd)
             if spec.variable:
                 assert_array_equal(mu_row, mus)
@@ -320,7 +368,7 @@ def test_block_sums_add_runs_in_order():
     """A block's sums are its runs' rows added one by one from zero, as
     ``run_experiment`` added single runs before blocks existed."""
     cfg = _small_cfg(runs=5, iterations=300, algorithms=tuple(_ENGINE_ALGORITHMS.values()))
-    _, out = gslms.harness._advance_block(cfg, 0, 5)
+    rows = _rows_by_name(cfg, 0, gslms.harness._advance_block(cfg, 0, 5))
     for spec in cfg.algorithms:
         msd_sum, mu_sum, lam_sum = np.zeros(300), np.zeros(300), np.zeros(300)
         for run in range(5):
@@ -329,10 +377,10 @@ def test_block_sums_add_runs_in_order():
             if spec.variable:
                 mu_sum += mus
                 lam_sum += _lambda(mus, rhos)
-        assert_array_equal(out[spec.name][0], msd_sum)
+        assert_array_equal(rows[spec.name][0], msd_sum)
         if spec.variable:
-            assert_array_equal(out[spec.name][1], mu_sum)
-            assert_array_equal(out[spec.name][2], lam_sum)
+            assert_array_equal(rows[spec.name][1], mu_sum)
+            assert_array_equal(rows[spec.name][2], lam_sum)
 
 
 def test_diverging_row_leaves_other_rows_unchanged():
@@ -346,18 +394,18 @@ def test_diverging_row_leaves_other_rows_unchanged():
     unstable = AlgorithmSpec(name="unstable", mode="grza", mu=1.0, rho=1e-4)
     cfg = _small_cfg(runs=3, iterations=800, algorithms=others + (unstable,))
     with np.errstate(over="ignore", invalid="ignore"):
-        _, mixed = gslms.harness._advance_block(cfg, 0, 3)
-        _, survivors = gslms.harness._run_block((cfg, 0, 3))
+        mixed = _rows_by_name(cfg, 0, gslms.harness._advance_block(cfg, 0, 3))
+        survivors = _rows_by_name(cfg, *gslms.harness._run_block((cfg, 0, 3)))
         expected = [[r, _scalar_fold(cfg, unstable, r)[3]] for r in range(3)]
-    _, clean = gslms.harness._advance_block(replace(cfg, algorithms=others), 0, 3)
+    clean_cfg = replace(cfg, algorithms=others)
+    clean = _rows_by_name(clean_cfg, 0, gslms.harness._advance_block(clean_cfg, 0, 3))
     assert all(it is not None for _, it in expected)
-    assert mixed["unstable"][4] == survivors["unstable"][4] == expected
-    assert survivors["unstable"][3] == 0
+    assert mixed["unstable"][3] == survivors["unstable"][3] == expected
     assert_array_equal(survivors["unstable"][0], np.zeros(800))
     for spec in others:
         for out in (mixed, survivors):
-            msd, mu, lam, used, failed = out[spec.name]
-            assert used == 3 and failed == []
+            msd, mu, lam, failed = out[spec.name]
+            assert failed == []
             assert_array_equal(msd, clean[spec.name][0])
             if spec.variable:
                 assert_array_equal(mu, clean[spec.name][1])
@@ -413,11 +461,11 @@ def test_block_rows_match_scalar_fold_through_every_vp_branch(monkeypatch):
     folds = {spec.name: _scalar_fold(cfg, spec, 0) for spec in cfg.algorithms}
     monkeypatch.undo()
     assert all(count > 0 for count in fired.values()), fired
-    _, out = gslms.harness._advance_block(cfg, 0, 1)
+    rows = _rows_by_name(cfg, 0, gslms.harness._advance_block(cfg, 0, 1))
     for spec in cfg.algorithms:
         msd, mus, rhos, diverged = folds[spec.name]
-        msd_row, mu_row, lam_row, used, failed = out[spec.name]
-        assert diverged is None and failed == [] and used == 1
+        msd_row, mu_row, lam_row, failed = rows[spec.name]
+        assert diverged is None and failed == []
         assert_array_equal(msd_row, msd)
         if spec.variable:
             assert_array_equal(mu_row, mus)
@@ -520,7 +568,7 @@ def test_block_restarts_a_diverged_vp_row_from_a_fresh_state(monkeypatch):
 
         monkeypatch.setattr(gslms.harness, "_vp_rows_iteration", traced)
         with np.errstate(invalid="ignore", over="ignore"):
-            _, out = gslms.harness._advance_block(cfg, 0, 3)
+            out = _rows_by_name(cfg, 0, gslms.harness._advance_block(cfg, 0, 3))
         return seen, out
 
     seen, out = block(spike=True)
@@ -528,12 +576,12 @@ def test_block_restarts_a_diverged_vp_row_from_a_fresh_state(monkeypatch):
     spec = _ENGINE_ALGORITHMS["vp-grza"]
     fresh = VpState.for_filter(35, cfg.sigma_z2, cfg.sigma_u2, spec.gamma,
                                spec.gamma_prime, spec.mu_max)
-    assert out["vp-grza"][4] == [[1, 19]]
+    assert out["vp-grza"][3] == [[1, 19]]
     assert seen[19][4] != asdict(fresh) and seen[20][4] == asdict(fresh)
     for step, clean_step in zip(seen, clean_seen):
         assert [s for k, s in enumerate(step) if k != 4] == \
             [s for k, s in enumerate(clean_step) if k != 4]
-    assert out["vp-gza"][4] == []
+    assert out["vp-gza"][3] == []
     for i in range(3):
         assert_array_equal(out["vp-gza"][i], clean["vp-gza"][i])
 

@@ -290,7 +290,8 @@ def test_simulate_matches_materialised_regressors(n):
     L = sched.L
     padded = np.concatenate([np.zeros(L - 1), x])
     U = np.array([padded[i:i + L][::-1] for i in range(n)]).reshape(n, L)
-    d = np.einsum("ij,ij->i", U, sched.plant_matrix()[sched.active_indices(n)])
+    plants = np.stack([w for _, w in sched.segments])
+    d = np.einsum("ij,ij->i", U, plants[sched.active_indices(n)])
     d = d + np.random.default_rng(n + 1).normal(0.0, np.sqrt(0.01), size=n)
     assert_array_equal(stream.U, U)
     assert_array_equal(stream.d, d)
