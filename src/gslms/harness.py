@@ -406,7 +406,7 @@ def _write_csv(path: str, curve: LearningCurve) -> None:
     rows = zip(*(map(repr, col.tolist()) for col in cols))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(map("{}\n".format, map(",".join, rows)))
 
 
 def _write_json(path: str, curve: LearningCurve) -> None:

@@ -4,8 +4,10 @@ Everything in here re-derives a quantity by independent means — exhaustive
 grid search, central finite differences, or a vectorized Monte-Carlo ensemble
 — so the analytic implementations elsewhere in the package can be checked
 against something that cannot share their bugs.  The ensemble simulator keeps
-all trajectories as rows of an (E, L) matrix and advances them with batched
-numpy expressions rather than reusing the per-sample filter loop.
+all weight-error trajectories as rows of an (E, L) matrix and advances them
+with batched numpy expressions rather than reusing the per-sample filter loop:
+each member's input is stored time-reversed, so a step's regressors are
+contiguous rows, and one fused step walks the members in cache-sized tiles.
 """
 from __future__ import annotations
 
@@ -18,6 +20,11 @@ from .filters import FilterConfig
 from .groups import ZERO_GROUP_TOL, GRZA, AttractorMode, GroupPartition, l12_norm
 from .signals import AR1GaussianMixture, WhiteGaussian, stationary_power
 from .varparam import MomentEstimates
+
+# Members per tile of the fused ensemble step.  At L = 35 a (1024, L) float64
+# array is 280 KB, so a tile's regressor, weight and scratch rows stay in a
+# core's L2 cache across the dozen kernels of one step.
+TILE_MEMBERS = 1024
 
 
 @dataclass(frozen=True)
@@ -93,18 +100,18 @@ def finite_diff_subgradient(w: np.ndarray, p: GroupPartition, step: float = 1e-6
     return grad
 
 
-def _attractor_matrix(W: np.ndarray, p: GroupPartition, mode: AttractorMode | None) -> np.ndarray:
-    """Row-wise beta .* s for an (E, L) matrix of weight vectors."""
-    if mode is None:
-        return np.zeros_like(W)
-    norms = np.sqrt(np.add.reduceat(W * W, p.starts, axis=1))
+def _attractor_matrix(
+    W: np.ndarray, p: GroupPartition, mode: AttractorMode, out: np.ndarray
+) -> np.ndarray:
+    """Row-wise beta .* s for a (T, L) matrix of weight vectors, into out."""
+    norms = np.sqrt(np.add.reduceat(np.multiply(W, W, out=out), p.starts, axis=1))
     safe = np.where(norms > ZERO_GROUP_TOL, norms, np.inf)
     if mode.tag == GRZA:
         # combined beta/norm factor; the inf denominator of a zero group
         # divides out to an exact 0 without touching 1/0
         per_group = 1.0 / ((norms + mode.epsilon) * safe)
-        return W * np.repeat(per_group, p.sizes, axis=1)
-    return W / np.repeat(safe, p.sizes, axis=1)
+        return np.multiply(W, np.repeat(per_group, p.sizes, axis=1), out=out)
+    return np.divide(W, np.repeat(safe, p.sizes, axis=1), out=out)
 
 
 def _member_samples(input_model, ensemble: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,9 +138,14 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 class _EnsemblePass:
     """Batched simulation of `ensemble` independent trajectories.
 
-    Each call to advance() performs one filter update on every member and
-    returns the sampled moments seen at that step, paired with the realized
-    change in the ensemble tr{Q}.
+    Each member's input is stored time-reversed and zero-padded, as in
+    SignalStream.x_rev, so every step's regressors are contiguous rows of
+    one slice (see regressors()).  step() walks the members in tiles of
+    TILE_MEMBERS rows: per tile it takes the five moment samples, applies
+    the filter update to the weight-error rows in place and takes their
+    squared norms, writing per-member values into (E,) buffers.  moments()
+    and trq() reduce over the full buffers, so no result depends on the
+    tile size.
     """
 
     def __init__(
@@ -154,9 +166,9 @@ class _EnsemblePass:
         ss = np.random.SeedSequence(seed)
         x_rng, z_rng = (np.random.default_rng(s) for s in ss.spawn(2))
         x = _member_samples(input_model, ensemble, steps, x_rng)
-        padded = np.concatenate([np.zeros((ensemble, L - 1)), x], axis=1)
-        # windows[:, t, :] is sample t..t-L+1 oldest-first; reverse on use
-        self._windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)
+        self._xr = np.zeros((ensemble, steps + L - 1))
+        self._xr[:, :steps] = x[:, ::-1]
+        del x  # so x, _xr and the noise never coexist
         self._z = z_rng.normal(0.0, math.sqrt(sigma_z2), size=(ensemble, steps))
         if w_init is None:
             W0 = np.zeros((ensemble, L))
@@ -164,44 +176,68 @@ class _EnsemblePass:
             W0 = np.broadcast_to(np.asarray(w_init, dtype=float), (ensemble, L)).copy()
         self.plant = plant
         self.cfg = cfg
-        self.sigma_z2 = sigma_z2
-        self.trace_ru = L * stationary_power(input_model)
+        self.g_floor = sigma_z2 * (L * stationary_power(input_model))  # sigma_z2 tr{R_u}
         self.Wt = W0 - plant  # weight-error rows
         self.ensemble = ensemble
         self.steps = steps
         self.t = 0
+        # rows g, h, ell, r1, r2; an LMS pass never writes h, ell or r2,
+        # which are exactly 0 without an attractor
+        self._samples = np.zeros((5, ensemble))
+        self._trq_rows = np.vecdot(self.Wt, self.Wt)
+        tile = min(TILE_MEMBERS, ensemble)
+        self._tile = tile
+        self._a = np.empty(tile)
+        self._scratch = np.empty((tile, L))
+        self._bs = np.empty((tile, L)) if cfg.mode is not None else None
+
+    def regressors(self, t: int) -> np.ndarray:
+        """(E, L) view whose row i is member i's regressor [x_t, ..., x_{t-L+1}]."""
+        return self._xr[:, self.steps - 1 - t:][:, :self.cfg.L]
 
     def trq(self) -> float:
-        return float(np.einsum("ij,ij->i", self.Wt, self.Wt).mean())
+        return float(self._trq_rows.mean())
 
-    def sample_moments(self) -> tuple[EnsembleMoments, dict]:
-        """Moments at the current step, without advancing."""
-        t = self.t
-        U = self._windows[:, t, ::-1]
-        a = np.einsum("ij,ij->i", self.Wt, U)
-        unorm2 = np.einsum("ij,ij->i", U, U)
-        BS = _attractor_matrix(self.Wt + self.plant, self.cfg.partition, self.cfg.mode)
-        g_samples = self.sigma_z2 * self.trace_ru + a * a * unorm2
-        h_samples = np.einsum("ij,ij->i", BS, BS)
-        ell_samples = a * np.einsum("ij,ij->i", U, BS)
-        r1_samples = a * a
-        r2_samples = np.einsum("ij,ij->i", BS, self.Wt)
-        vals = [_mean_se(s) for s in (g_samples, h_samples, ell_samples, r1_samples, r2_samples)]
-        m = EnsembleMoments(
+    def moments(self) -> EnsembleMoments:
+        """Moments sampled by the last step()."""
+        vals = [_mean_se(s) for s in self._samples]
+        return EnsembleMoments(
             g=vals[0][0], h=vals[1][0], ell=vals[2][0], r1=vals[3][0], r2=vals[4][0],
             g_se=vals[0][1], h_se=vals[1][1], ell_se=vals[2][1], r1_se=vals[3][1],
             r2_se=vals[4][1], ensemble=self.ensemble,
         )
-        aux = {"U": U, "a": a, "BS": BS}
-        return m, aux
 
-    def advance(self, aux: dict) -> None:
-        t = self.t
-        e = self._z[:, t] - aux["a"]
-        self.Wt += (self.cfg.mu * e)[:, None] * aux["U"]
-        if self.cfg.rho != 0.0:
-            self.Wt -= self.cfg.rho * aux["BS"]
-        self.t = t + 1
+    def step(self, advance: bool = True) -> None:
+        """Sample the moments at the current step on every member and, with
+        advance, apply that step's filter update."""
+        t, cfg = self.t, self.cfg
+        U_all = self.regressors(t)
+        for lo in range(0, self.ensemble, self._tile):
+            hi = min(lo + self._tile, self.ensemble)
+            U, Wt, a = U_all[lo:hi], self.Wt[lo:hi], self._a[:hi - lo]
+            S = self._scratch[:hi - lo]
+            g, h, ell, r1, r2 = self._samples[:, lo:hi]
+            np.vecdot(Wt, U, out=a)
+            np.multiply(a, a, out=r1)
+            np.vecdot(U, U, out=g)
+            g *= r1
+            g += self.g_floor
+            if cfg.mode is not None:
+                BS = _attractor_matrix(np.add(Wt, self.plant, out=S), cfg.partition,
+                                       cfg.mode, self._bs[:hi - lo])
+                np.vecdot(BS, BS, out=h)
+                np.vecdot(U, BS, out=ell)
+                ell *= a
+                np.vecdot(BS, Wt, out=r2)
+            if advance:
+                e = np.subtract(self._z[lo:hi, t], a, out=a)
+                e *= cfg.mu
+                Wt += np.multiply(e[:, None], U, out=S)
+                if cfg.mode is not None and cfg.rho != 0.0:
+                    Wt -= np.multiply(BS, cfg.rho, out=S)
+                np.vecdot(Wt, Wt, out=self._trq_rows[lo:hi])
+        if advance:
+            self.t = t + 1
 
 
 def ensemble_moments(
@@ -222,10 +258,9 @@ def ensemble_moments(
     """
     run = _EnsemblePass(plant, input_model, cfg, sigma_z2, n + 1, ensemble, seed, w_init)
     for _ in range(n):
-        _, aux = run.sample_moments()
-        run.advance(aux)
-    m, _ = run.sample_moments()
-    return m
+        run.step()
+    run.step(advance=False)
+    return run.moments()
 
 
 @dataclass(frozen=True)
@@ -288,12 +323,12 @@ def validate_model_recursion(
     trq[0] = run.trq()
     mu, rho = cfg.mu, cfg.rho
     for t in range(horizon):
-        m, aux = run.sample_moments()
+        run.step()
+        m = run.moments()
         model_inc[t] = (
             mu * mu * m.g + rho * rho * m.h + 2.0 * mu * rho * m.ell
             - 2.0 * mu * m.r1 - 2.0 * rho * m.r2
         )
-        run.advance(aux)
         trq[t + 1] = run.trq()
         ens_inc[t] = trq[t + 1] - trq[t]
     denom = np.maximum(np.abs(model_inc), np.finfo(float).tiny)

@@ -15,8 +15,10 @@ from gslms.groups import (
     attractor_direction,
     attractor_term,
 )
+import gslms.oracles
 from gslms.oracles import (
     EnsembleMoments,
+    _EnsemblePass,
     _member_samples,
     ensemble_moments,
     finite_diff_subgradient,
@@ -273,3 +275,115 @@ def test_member_samples_ar1_bits_match_lfilter_record(alpha):
     x = _member_samples(AR1GaussianMixture(alpha=alpha), 8, 300, np.random.default_rng(2024))
     assert x.shape == (8, 300) and x.dtype == np.float64
     assert hashlib.sha256(x.tobytes()).hexdigest() == MEMBER_DIGESTS[alpha]
+
+
+# Both default ``gslms validate-model`` cases and one ensemble_moments call
+# from a non-zero start, recorded from the einsum-over-strided-windows
+# implementation this one replaced (ensemble 300, horizon 30, seed 2026;
+# moments: n=20, ensemble 300, seed 77).  The contiguous-row dot products
+# sum in another order, so the last bits may move; rtol=1e-9 leaves room for
+# that drift (about 1e-13 measured) and nothing else.
+PINNED_TRQ = {
+    "lms": [2.2975, 2.2909972590158536, 2.282424536246498, 2.2752507185376967, 2.265886028862154, 2.2578044725963147, 2.248985033301062, 2.2410604632403097, 2.2311799103904773, 2.2217596989253217, 2.2135398900219068, 2.2045170186880356, 2.196098132343535, 2.1866095910768863, 2.177345563977119, 2.169084385118747, 2.1607362289138146, 2.1528094439289847, 2.1444881570386074, 2.136911941017815, 2.129224170323659, 2.120548660556015, 2.1114187289319792, 2.101892249274715, 2.0929272091140523, 2.082138593523244, 2.0716142072741985, 2.061382528495537, 2.049824366355549, 2.0384314049817918, 2.0275601287033624],
+    "grza": [2.2975, 2.2909972590158536, 2.2838344913895816, 2.2778007433427208, 2.269786297523368, 2.262989658310787, 2.255419899678434, 2.248697150516324, 2.2400148227753696, 2.231761484197516, 2.2246804880459226, 2.2167485439700987, 2.2093770713332828, 2.2008860921998377, 2.19258340119102, 2.1852593878848645, 2.177806759639639, 2.1707215167762284, 2.1631949694552257, 2.156402997553874, 2.149454231471518, 2.1414860275623724, 2.133012581541766, 2.1241253838798166, 2.1158046151531194, 2.1057194226551132, 2.095933767742265, 2.086477117270984, 2.075728238585087, 2.065149309262129, 2.0551410217739843],
+}
+PINNED_MODEL_INCREMENTS = {
+    "lms": [-0.006489479599899086, -0.008551049198892366, -0.007125901103126901, -0.009339771250908313, -0.008110114598939242, -0.008805927287766541, -0.007874138955684208, -0.009867149551893174, -0.009475211538179694, -0.008214431129498849, -0.008968972778165581, -0.008516935905048685, -0.009496699723485508, -0.00935005153967149, -0.008292683628371692, -0.008338958092627885, -0.007901570164435476, -0.008382818697396164, -0.007655110067319702, -0.007665539073040374, -0.008676729367234907, -0.009047160858926557, -0.009595642226029374, -0.008927535346315043, -0.01077198559657673, -0.010487904559518623, -0.010275210200612174, -0.011526061313888343, -0.011467172626381292, -0.010871699802647313],
+    "grza": [-0.006489479599899086, -0.007141043777941097, -0.005985763044910341, -0.007989549617801605, -0.006825293464511956, -0.0075560572701115535, -0.006672063231360057, -0.00866919875802873, -0.008309007475047012, -0.007075485658025519, -0.007877998931599262, -0.007470021440814391, -0.008499366954128373, -0.008389674707694169, -0.007355683488034565, -0.007443945316377489, -0.007059928268256958, -0.007588151412170901, -0.006872402248988906, -0.006926599342927723, -0.00796874739708665, -0.008389032545238194, -0.008957379809055144, -0.008283696928260644, -0.010070630376445878, -0.009749795282137477, -0.009498532690732787, -0.010717145886191826, -0.010653532764603926, -0.010005465223483397],
+}
+PINNED_MAX_REL_DEVIATION = {"lms": 0.011512304617655164, "grza": 0.013192573110971433}
+PINNED_MOMENTS = dict(
+    g=0.7366267820062514, h=155.19376299219513, ell=1.1131738906438726,
+    r1=0.016902734038019115, r2=1.5896922891536414, g_se=0.03939250946077148,
+    h_se=0.23317876044814778, ell_se=0.1104003149867938, r1_se=0.0014479074490060919,
+    r2_se=0.0019476406217359653,
+)
+
+
+def _cli_case_config(tag):
+    if tag == "lms":
+        return _lms_config(mu=0.005)
+    return _grza_config(mu=0.005, rho=1e-4)
+
+
+@pytest.mark.parametrize("tag", ["lms", "grza"])
+def test_validation_matches_pinned_record(tag):
+    report = validate_model_recursion(
+        benchmark_plants()[0], WhiteGaussian(1.0), _cli_case_config(tag), sigma_z2=0.01,
+        horizon=30, ensemble=300, seed=2026,
+    )
+    assert_allclose(report.trq, PINNED_TRQ[tag], rtol=1e-9, atol=0)
+    assert_allclose(report.ensemble_increments, np.diff(PINNED_TRQ[tag]), rtol=1e-9, atol=0)
+    assert_allclose(report.model_increments, PINNED_MODEL_INCREMENTS[tag], rtol=1e-9, atol=0)
+    assert_allclose(report.max_rel_deviation, PINNED_MAX_REL_DEVIATION[tag], rtol=1e-9, atol=0)
+
+
+def test_ensemble_moments_match_pinned_record():
+    plant = benchmark_plants()[0]
+    m = ensemble_moments(
+        plant, WhiteGaussian(1.0), _grza_config(mu=0.005, rho=1e-4), sigma_z2=0.01,
+        n=20, ensemble=300, seed=77, w_init=plant + 0.05 * np.sin(np.arange(35.0)),
+    )
+    for name, value in PINNED_MOMENTS.items():
+        assert_allclose(getattr(m, name), value, rtol=1e-9, atol=0, err_msg=name)
+    assert m.ensemble == 300
+
+
+# ---------------------------------------------------------------------------
+# member tiles and the reversed-input regressor layout
+
+TILE_ENSEMBLE = 45  # not a multiple of 7, so most tile sizes below leave a partial tile
+
+
+@pytest.mark.parametrize("tile", [1, 7, TILE_ENSEMBLE - 1, TILE_ENSEMBLE, TILE_ENSEMBLE + 5])
+def test_results_do_not_depend_on_the_tile_size(monkeypatch, tile):
+    plant = benchmark_plants()[0]
+    gza = FilterConfig(L=35, partition=GroupPartition.contiguous(35, 5),
+                       mode=AttractorMode("gza"), mu=0.005, rho=1e-4)
+    configs = (_lms_config(mu=0.005), _grza_config(mu=0.005, rho=1e-4), gza)
+
+    def results():
+        reports = [
+            validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
+                                     horizon=12, ensemble=TILE_ENSEMBLE, seed=8)
+            for cfg in configs
+        ]
+        moments = [
+            ensemble_moments(plant, input_model, cfg, sigma_z2=0.01, n=12,
+                             ensemble=TILE_ENSEMBLE, seed=9, w_init=0.5 * plant)
+            for cfg in configs
+            for input_model in (WhiteGaussian(1.0), AR1GaussianMixture())
+        ]
+        return reports, moments
+
+    reports, moments = results()
+    monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", tile)
+    tiled_reports, tiled_moments = results()
+    for a, b in zip(reports, tiled_reports):
+        for field in ("trq", "ensemble_increments", "model_increments", "rel_deviation"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert tiled_moments == moments  # every field, bit for bit
+
+
+def test_regressor_rows_are_the_reversed_sliding_windows():
+    L, steps, ensemble, seed = 35, 40, 6, 13
+    run = _EnsemblePass(benchmark_plants()[0], AR1GaussianMixture(), _lms_config(), 0.01,
+                        steps, ensemble, seed)
+    x_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    x = _member_samples(AR1GaussianMixture(), ensemble, steps, x_rng)
+    padded = np.concatenate([np.zeros((ensemble, L - 1)), x], axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)
+    for t in range(steps):
+        U = run.regressors(t)
+        assert U.shape == (ensemble, L) and U.strides[1] == U.itemsize
+        assert np.array_equal(U, windows[:, t, ::-1]), t
+
+
+def test_lms_attractor_moments_are_exactly_zero():
+    plant = benchmark_plants()[0]
+    m = ensemble_moments(
+        plant, WhiteGaussian(1.0), _lms_config(mu=0.005), sigma_z2=0.01,
+        n=10, ensemble=200, seed=14, w_init=0.5 * plant,
+    )
+    assert (m.h, m.ell, m.r2, m.h_se, m.ell_se, m.r2_se) == (0.0,) * 6
+    assert m.r1 > 0.0 and m.g > 0.0
