@@ -69,13 +69,8 @@ class LearningCurve:
 
 
 def experiment_schedule(cfg: ExperimentConfig) -> PlantSchedule:
-    """Benchmark plant schedule trimmed to the configured horizon.
-
-    The three length-35 plants take over at iterations 1, 8000 and 16000
-    whatever ``iterations`` is; switches past the horizon are dropped.
-    """
-    switches = tuple(s for s in (1, 8000, 16000) if s <= max(cfg.iterations, 1))
-    return benchmark_schedule(switches, cfg.iterations)
+    """Benchmark plant schedule trimmed to the configured horizon."""
+    return benchmark_schedule(total_iterations=cfg.iterations)
 
 
 def _blocks(runs: int) -> list[tuple[int, int]]:

@@ -8,6 +8,9 @@ all weight-error trajectories as rows of an (E, L) matrix and advances them
 with batched numpy expressions rather than reusing the per-sample filter loop:
 each member's input is stored time-reversed, so a step's regressors are
 contiguous rows, and one fused step walks the members in cache-sized tiles.
+A step takes the per-member moment samples only when asked:
+validate_model_recursion samples every step and keeps only the per-step
+means, while ensemble_moments samples its final step alone.
 """
 from __future__ import annotations
 
@@ -131,21 +134,17 @@ def _member_samples(input_model, ensemble: int, count: int, rng: np.random.Gener
     raise TypeError(f"unsupported input model {type(input_model).__name__}")
 
 
-def _mean_se(samples: np.ndarray) -> tuple[float, float]:
-    return float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(samples.size))
-
-
 class _EnsemblePass:
     """Batched simulation of `ensemble` independent trajectories.
 
     Each member's input is stored time-reversed and zero-padded, as in
     SignalStream.x_rev, so every step's regressors are contiguous rows of
     one slice (see regressors()).  step() walks the members in tiles of
-    TILE_MEMBERS rows: per tile it takes the five moment samples, applies
-    the filter update to the weight-error rows in place and takes their
-    squared norms, writing per-member values into (E,) buffers.  moments()
-    and trq() reduce over the full buffers, so no result depends on the
-    tile size.
+    TILE_MEMBERS rows and applies the filter update to the weight-error rows
+    in place.  A sampled step also writes each member's five moment samples
+    into the (5, E) buffer samples and its squared weight error after the
+    update into the (E,) buffer trq_rows; callers reduce over the full
+    buffers, so no result depends on the tile size.
     """
 
     def __init__(
@@ -183,8 +182,8 @@ class _EnsemblePass:
         self.t = 0
         # rows g, h, ell, r1, r2; an LMS pass never writes h, ell or r2,
         # which are exactly 0 without an attractor
-        self._samples = np.zeros((5, ensemble))
-        self._trq_rows = np.vecdot(self.Wt, self.Wt)
+        self.samples = np.zeros((5, ensemble))
+        self.trq_rows = np.vecdot(self.Wt, self.Wt)
         tile = min(TILE_MEMBERS, ensemble)
         self._tile = tile
         self._a = np.empty(tile)
@@ -195,49 +194,41 @@ class _EnsemblePass:
         """(E, L) view whose row i is member i's regressor [x_t, ..., x_{t-L+1}]."""
         return self._xr[:, self.steps - 1 - t:][:, :self.cfg.L]
 
-    def trq(self) -> float:
-        return float(self._trq_rows.mean())
-
-    def moments(self) -> EnsembleMoments:
-        """Moments sampled by the last step()."""
-        vals = [_mean_se(s) for s in self._samples]
-        return EnsembleMoments(
-            g=vals[0][0], h=vals[1][0], ell=vals[2][0], r1=vals[3][0], r2=vals[4][0],
-            g_se=vals[0][1], h_se=vals[1][1], ell_se=vals[2][1], r1_se=vals[3][1],
-            r2_se=vals[4][1], ensemble=self.ensemble,
-        )
-
-    def step(self, advance: bool = True) -> None:
-        """Sample the moments at the current step on every member and, with
-        advance, apply that step's filter update."""
+    def step(self, sample: bool = False) -> None:
+        """Apply step t's filter update to every member.  With sample, first
+        take the five moment samples at step t, and after the update each
+        member's squared weight error.  The attractor is evaluated only when
+        the samples or the update read it."""
         t, cfg = self.t, self.cfg
+        attract = cfg.mode is not None and (sample or cfg.rho != 0.0)
         U_all = self.regressors(t)
         for lo in range(0, self.ensemble, self._tile):
             hi = min(lo + self._tile, self.ensemble)
             U, Wt, a = U_all[lo:hi], self.Wt[lo:hi], self._a[:hi - lo]
             S = self._scratch[:hi - lo]
-            g, h, ell, r1, r2 = self._samples[:, lo:hi]
             np.vecdot(Wt, U, out=a)
-            np.multiply(a, a, out=r1)
-            np.vecdot(U, U, out=g)
-            g *= r1
-            g += self.g_floor
-            if cfg.mode is not None:
+            if attract:
                 BS = _attractor_matrix(np.add(Wt, self.plant, out=S), cfg.partition,
                                        cfg.mode, self._bs[:hi - lo])
-                np.vecdot(BS, BS, out=h)
-                np.vecdot(U, BS, out=ell)
-                ell *= a
-                np.vecdot(BS, Wt, out=r2)
-            if advance:
-                e = np.subtract(self._z[lo:hi, t], a, out=a)
-                e *= cfg.mu
-                Wt += np.multiply(e[:, None], U, out=S)
-                if cfg.mode is not None and cfg.rho != 0.0:
-                    Wt -= np.multiply(BS, cfg.rho, out=S)
-                np.vecdot(Wt, Wt, out=self._trq_rows[lo:hi])
-        if advance:
-            self.t = t + 1
+            if sample:
+                g, h, ell, r1, r2 = self.samples[:, lo:hi]
+                np.multiply(a, a, out=r1)
+                np.vecdot(U, U, out=g)
+                g *= r1
+                g += self.g_floor
+                if cfg.mode is not None:
+                    np.vecdot(BS, BS, out=h)
+                    np.vecdot(U, BS, out=ell)
+                    ell *= a
+                    np.vecdot(BS, Wt, out=r2)
+            e = np.subtract(self._z[lo:hi, t], a, out=a)
+            e *= cfg.mu
+            Wt += np.multiply(e[:, None], U, out=S)
+            if cfg.mode is not None and cfg.rho != 0.0:
+                Wt -= np.multiply(BS, cfg.rho, out=S)
+            if sample:
+                np.vecdot(Wt, Wt, out=self.trq_rows[lo:hi])
+        self.t = t + 1
 
 
 def ensemble_moments(
@@ -259,8 +250,10 @@ def ensemble_moments(
     run = _EnsemblePass(plant, input_model, cfg, sigma_z2, n + 1, ensemble, seed, w_init)
     for _ in range(n):
         run.step()
-    run.step(advance=False)
-    return run.moments()
+    run.step(sample=True)  # its update, on the pass's last noise column, goes unread
+    means = run.samples.mean(axis=1).tolist()
+    ses = (run.samples.std(axis=1, ddof=1) / math.sqrt(ensemble)).tolist()
+    return EnsembleMoments(*means, *ses, ensemble=ensemble)
 
 
 @dataclass(frozen=True)
@@ -317,20 +310,20 @@ def validate_model_recursion(
     if not isinstance(input_model, WhiteGaussian):
         raise TypeError("model validation is defined for white Gaussian input only")
     run = _EnsemblePass(plant, input_model, cfg, sigma_z2, horizon, ensemble, seed)
+    means = np.empty((5, horizon))  # rows g, h, ell, r1, r2
     trq = np.empty(horizon + 1)
-    ens_inc = np.empty(horizon)
-    model_inc = np.empty(horizon)
-    trq[0] = run.trq()
-    mu, rho = cfg.mu, cfg.rho
+    trq[0] = run.trq_rows.mean()
     for t in range(horizon):
-        run.step()
-        m = run.moments()
-        model_inc[t] = (
-            mu * mu * m.g + rho * rho * m.h + 2.0 * mu * rho * m.ell
-            - 2.0 * mu * m.r1 - 2.0 * rho * m.r2
-        )
-        trq[t + 1] = run.trq()
-        ens_inc[t] = trq[t + 1] - trq[t]
+        run.step(sample=True)
+        means[:, t] = run.samples.mean(axis=1)
+        trq[t + 1] = run.trq_rows.mean()
+    g, h, ell, r1, r2 = means
+    mu, rho = cfg.mu, cfg.rho
+    model_inc = (
+        mu * mu * g + rho * rho * h + 2.0 * mu * rho * ell
+        - 2.0 * mu * r1 - 2.0 * rho * r2
+    )
+    ens_inc = np.diff(trq)
     denom = np.maximum(np.abs(model_inc), np.finfo(float).tiny)
     rel = np.abs(ens_inc - model_inc) / denom
     mode = cfg.mode.tag if cfg.mode is not None else "lms"

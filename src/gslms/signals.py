@@ -191,10 +191,14 @@ def benchmark_schedule(
     switch_iterations: tuple[int, ...] = (1, 8000, 16000),
     total_iterations: int = 24000,
 ) -> PlantSchedule:
-    """Built-in schedule cycling through the three benchmark plants."""
+    """Built-in schedule cycling through the three benchmark plants.
+
+    Switches past ``max(total_iterations, 1)`` never happen and are dropped.
+    """
     plants = benchmark_plants()
     segments = tuple(
         (start, plants[k % 3]) for k, start in enumerate(switch_iterations)
+        if start <= max(total_iterations, 1)
     )
     return PlantSchedule(segments=segments, total_iterations=total_iterations)
 

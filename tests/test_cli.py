@@ -1,5 +1,7 @@
 """Unit tests for the command-line front end's argument checks."""
 
+import json
+import math
 import os
 import subprocess
 import sys
@@ -186,3 +188,26 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_diverging_validate_model_case_fails_without_traceback(capsys):
+    """At mu = 10 the ensemble diverges: the per-member samples overflow,
+    so their standard errors are not finite.  Validation reads only means,
+    so the case ends in its FAIL verdict and exit 1, not a ValueError."""
+    rc = main(["validate-model", "--mu", "10", "--horizon", "60", "--ensemble", "100"])
+    out, _ = capsys.readouterr()
+    assert rc == 1
+    lines = out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("  lms mu=10 rho=0: ")
+    assert lines[0].endswith(" -> FAIL")
+
+
+def test_diverging_validate_model_json_reports_nan_as_failed(capsys):
+    """Over 400 steps the means themselves overflow; the deviation reads
+    NaN, which is not within the tolerance."""
+    rc = main(["validate-model", "--mu", "10", "--horizon", "400", "--ensemble", "50", "--json"])
+    out, _ = capsys.readouterr()
+    report = json.loads(out)
+    assert rc == 1
+    assert report["passed"] is False
+    assert math.isnan(report["reports"][0]["max_rel_deviation"])

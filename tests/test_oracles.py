@@ -387,3 +387,19 @@ def test_lms_attractor_moments_are_exactly_zero():
     )
     assert (m.h, m.ell, m.r2, m.h_se, m.ell_se, m.r2_se) == (0.0,) * 6
     assert m.r1 > 0.0 and m.g > 0.0
+
+
+def test_ensemble_moments_evaluates_the_attractor_only_when_read(monkeypatch):
+    """With rho = 0 the update never reads the attractor, so only the final,
+    sampled step evaluates it: one call for one tile, not one per step."""
+    calls = []
+    attractor = gslms.oracles._attractor_matrix
+
+    def counted(*args):
+        calls.append(1)
+        return attractor(*args)
+
+    monkeypatch.setattr(gslms.oracles, "_attractor_matrix", counted)
+    ensemble_moments(benchmark_plants()[0], WhiteGaussian(1.0), _grza_config(mu=0.005, rho=0.0),
+                     sigma_z2=0.01, n=12, ensemble=45, seed=3)
+    assert len(calls) == 1

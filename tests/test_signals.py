@@ -185,6 +185,16 @@ def test_benchmark_schedule_default_switches():
     assert sched.stage_bounds() == [(0, 7999), (7999, 15999), (15999, 24000)]
 
 
+def test_benchmark_schedule_drops_switches_past_the_horizon():
+    """A switch after the last iteration would give a stage that ends before
+    it starts; the schedule keeps only the switches that happen."""
+    sched = benchmark_schedule(total_iterations=5000)
+    assert [s for s, _ in sched.segments] == [1]
+    assert sched.stage_bounds() == [(0, 5000)]
+    assert [s for s, _ in benchmark_schedule(total_iterations=8000).segments] == [1, 8000]
+    assert [s for s, _ in benchmark_schedule(total_iterations=0).segments] == [1]
+
+
 # ---------------------------------------------------------------------------
 # benchmark plants
 
