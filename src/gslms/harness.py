@@ -114,14 +114,18 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     alone: every row dot product is a ``vecdot``, which is ``np.dot`` on each
     row.
 
-    Returns ``(powers, msd_sum, mu_sum, lam_sum, diverged_at)``: the runs'
-    input powers; the ``(N, A)`` MSD sums and the ``(N, V)`` mu and lambda
-    sums of the V variable rows, each added over the block's runs in run
-    order and leaving out the rows that the ``(A, R)`` mask ``dropped``
-    sets; and the ``(A, R)`` iteration at which each row's update left the
-    finite range (the 0-based index of that update, as
-    ``DivergenceError.iteration``), or -1.  A diverged row restarts from
-    zero, and no other row changes.
+    The step's mu and rho are the two rows of one ``(2, A, R)`` array, and
+    every value a step averages waits in one ``(CHUNK_STEPS, A + 2V, R)``
+    buffer: the A MSDs, then the mu and the rho of the V variable rows.
+    Returns ``(powers, sums, diverged_at)``: the runs' input powers; one
+    ``(N, A + 2V)`` array with the buffer's columns summed (rho turned into
+    lambda = rho / mu), each added over the block's runs in run order and
+    leaving out the rows that the ``(A, R)`` mask ``dropped`` sets; and the
+    ``(A, R)`` 0-based iteration of the first update after which each row's
+    squared deviation is not finite, or -1.  Such a row has diverged: it
+    restarts from zero, and no other row changes.  The step loop runs under
+    one ``np.errstate`` that hides the overflow and invalid-value warnings a
+    diverging row raises; ``diverged_at`` records it instead.
     """
     schedule = experiment_schedule(cfg)
     L, N, A, R = schedule.L, cfg.iterations, len(cfg.algorithms), count
@@ -156,76 +160,74 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     grza = _rank_slice(ranks, 3, 4)
     grza = slice(grza.start - attract.start, grza.stop - attract.start)
     attracting = attract.stop > attract.start
-    mu = np.repeat(np.array([[s.mu] for s in specs]), R, axis=1)
-    rho = np.repeat(np.array([[s.rho if s.mode else 0.0] for s in specs]), R, axis=1)
+    mu_rho = np.repeat(np.array([[[s.mu] for s in specs],
+                                 [[s.rho if s.mode else 0.0] for s in specs]]), R, axis=2)
     # Plain-LMS rows keep a zero attractor, so ``rho * beta_s`` is zero there.
     beta_s = np.zeros((A, R, L))
     w = np.zeros((A, R, L))
-    # Per-step buffers.  They, ``w``, ``beta_s``, ``mu``, ``rho`` and ``live``
-    # are only written in place, so views of them taken once stay valid.
+    # Per-step buffers.  They, ``w``, ``beta_s``, ``mu_rho`` and ``live`` are
+    # only written in place, so views of them taken once stay valid.
     me, tmp, diff = np.empty((A, R)), np.empty((A, R, L)), np.empty((A, R, L))
     live = np.ones((A, R), dtype=bool)
-    me_col, rho_col = me[..., None], rho[..., None]
+    mu, me_col, rho_col = mu_rho[0], me[..., None], mu_rho[1][..., None]
+    mu_rho_variable = mu_rho[:, variable]
     w_attract, beta_s_attract = w[attract], beta_s[attract]
     beta_s_variable, live_variable = beta_s[variable], live[variable]
     diverged_at = np.full((A, R), -1)
     counted = np.ones((A, R), dtype=bool) if dropped is None else ~dropped
+    counted = np.concatenate((counted, counted[variable], counted[variable]))
 
-    # Per-row values wait in a buffer of CHUNK_STEPS steps, then each run's
-    # rows are added to the sums in run order; an uncounted row adds +0.0,
-    # which leaves a sum of non-negative terms unchanged.
-    msd_sum, mu_sum, lam_sum = np.zeros((N, A)), np.zeros((N, V)), np.zeros((N, V))
-    msd_buf = np.empty((CHUNK_STEPS, A, R))
-    mu_buf = np.empty((CHUNK_STEPS, V, R))
-    rho_buf = np.empty((CHUNK_STEPS, V, R))
+    # A step's averaged values, the A MSDs and then the V mu and V rho rows,
+    # wait in one buffer of CHUNK_STEPS steps; then each run's column is
+    # added to the sums in run order.  An uncounted row adds +0.0, which
+    # leaves a sum of non-negative terms unchanged.
+    sums = np.zeros((N, A + 2 * V))
+    buf = np.empty((CHUNK_STEPS, A + 2 * V, R))
+    msd_buf, vp_buf = buf[:, :A], buf[:, A:].reshape(CHUNK_STEPS, 2, V, R)
 
     def add_chunk(lo, hi):
         n = hi - lo
+        mu_rows, lam_rows = vp_buf[:n, 0], vp_buf[:n, 1]
+        # lambda = rho / mu in place, and 0 where mu is 0.
+        np.divide(lam_rows, mu_rows, out=lam_rows, where=mu_rows != 0.0)
+        lam_rows[mu_rows == 0.0] = 0.0
         for r in range(R):
-            msd_sum[lo:hi] += np.where(counted[:, r], msd_buf[:n, :, r], 0.0)
-            if V:
-                mu_r, keep = mu_buf[:n, :, r], counted[variable, r]
-                mu_sum[lo:hi] += np.where(keep, mu_r, 0.0)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    lam_sum[lo:hi] += np.where(keep & (mu_r != 0.0), rho_buf[:n, :, r] / mu_r, 0.0)
+            sums[lo:hi] += np.where(counted[:, r], buf[:n, :, r], 0.0)
 
-    for (lo, hi), (_, w_star) in zip(schedule.stage_bounds(), schedule.segments):
-        for i in range(lo, hi):
-            j = i % CHUNK_STEPS
-            u = xr[:, N - 1 - i:N - 1 - i + L]
-            e = d[i] - np.vecdot(w, u)
-            if attracting:
-                # Looked up on ``groups`` so a wrapper installed there (a
-                # tracer) sees every evaluation.
-                groups._attractor_rows(w_attract, partition, cfg.epsilon, grza,
-                                       out=beta_s_attract)
-            if V:
-                mu_v, rho_v = _vp_rows_iteration(vps, u, e[variable], beta_s_variable,
-                                                 live_variable)
-                mu[variable] = mu_buf[j] = mu_v
-                rho[variable] = rho_buf[j] = rho_v
-            # w += mu e u - rho beta_s, in the order ``filters.step`` adds.
-            np.multiply(mu, e, out=me)
-            w += np.multiply(me_col, u, out=tmp)
-            if attracting:
-                w -= np.multiply(rho_col, beta_s, out=tmp)
-            msd = np.vecdot(np.subtract(w, w_star, out=diff), diff, out=msd_buf[j])
-            # A row whose sum leaves the finite range holds a non-finite or
-            # overflowing entry, so its MSD is not finite either: a finite
-            # MSD total clears every row without the per-row test.
-            if not math.isfinite(msd.sum()):
-                finite = np.isfinite(w.sum(axis=-1))
-                if not finite.all():
-                    diverged_at[live & ~finite] = i
-                    live &= finite
-                    w[~finite] = 0.0
-                    for k in np.flatnonzero(~finite[variable]).tolist():
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (lo, hi), (_, w_star) in zip(schedule.stage_bounds(), schedule.segments):
+            for i in range(lo, hi):
+                j = i % CHUNK_STEPS
+                u = xr[:, N - 1 - i:N - 1 - i + L]
+                e = d[i] - np.vecdot(w, u)
+                if attracting:
+                    # Looked up on ``groups`` so a wrapper installed there (a
+                    # tracer) sees every evaluation.
+                    groups._attractor_rows(w_attract, partition, cfg.epsilon, grza,
+                                           out=beta_s_attract)
+                if V:
+                    mu_rho_variable[...] = vp_buf[j] = _vp_rows_iteration(
+                        vps, u, e[variable], beta_s_variable, live_variable)
+                # w += mu e u - rho beta_s, in the order ``filters.step`` adds.
+                np.multiply(mu, e, out=me)
+                w += np.multiply(me_col, u, out=tmp)
+                if attracting:
+                    w -= np.multiply(rho_col, beta_s, out=tmp)
+                msd = np.vecdot(np.subtract(w, w_star, out=diff), diff, out=msd_buf[j])
+                # MSDs are non-negative, so one non-finite row makes the total
+                # non-finite: a finite total clears every row without the
+                # per-row test.
+                if not math.isfinite(msd.sum()):
+                    failed = ~np.isfinite(msd)
+                    diverged_at[live & failed] = i
+                    live &= ~failed
+                    w[failed] = 0.0
+                    for k in np.flatnonzero(failed[variable]).tolist():
                         vps[k] = fresh_vp(k)
-                    np.vecdot(np.subtract(w, w_star, out=diff), diff, out=msd)
-            if j == CHUNK_STEPS - 1 or i == N - 1:
-                add_chunk(i - j, i + 1)
+                if j == CHUNK_STEPS - 1 or i == N - 1:
+                    add_chunk(i - j, i + 1)
 
-    return powers, msd_sum, mu_sum, lam_sum, diverged_at
+    return powers, sums, diverged_at
 
 
 def _run_block(args: tuple[ExperimentConfig, int, int]):
@@ -252,11 +254,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
     """
     if not cfg.algorithms:
         raise ValueError("experiment config lists no algorithms")
-    N = cfg.iterations
     specs = _row_specs(cfg)
     vp_specs = [s for s in specs if s.variable]
-    msd_sum = np.zeros((N, len(specs)))
-    mu_sum, lam_sum = np.zeros((N, len(vp_specs))), np.zeros((N, len(vp_specs)))
+    A, V = len(specs), len(vp_specs)
+    sums = np.zeros((cfg.iterations, A + 2 * V))
     diverged = [[] for _ in specs]
     power_sum = 0.0
 
@@ -268,12 +269,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
         pool = multiprocessing.Pool(processes=min(workers, len(tasks)))
         results = pool.imap(_run_block, tasks)
     try:
-        for first, (powers, msd, mu, lam, diverged_at) in results:
+        for first, (powers, block_sums, diverged_at) in results:
             for power in powers:
                 power_sum += power
-            msd_sum += msd
-            mu_sum += mu
-            lam_sum += lam
+            sums += block_sums
             for a, r in zip(*np.nonzero(diverged_at >= 0)):
                 diverged[a].append([first + int(r), int(diverged_at[a, r])])
     finally:
@@ -290,8 +289,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
         scale = 1.0 / n_used if n_used else np.nan
         mu_tr = lam_tr = None
         if spec.variable:
-            v = vp_specs.index(spec)
-            mu_tr, lam_tr = mu_sum[:, v] * scale, lam_sum[:, v] * scale
+            v = A + vp_specs.index(spec)
+            mu_tr, lam_tr = sums[:, v] * scale, sums[:, v + V] * scale
         metadata = {
             "experiment": cfg.experiment,
             "algorithm": spec.name,
@@ -306,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
             "iterations": cfg.iterations,
             "measured_input_power": measured_power,
         }
-        curves.append(LearningCurve(name=spec.name, msd=msd_sum[:, a] * scale, mu_trace=mu_tr,
+        curves.append(LearningCurve(name=spec.name, msd=sums[:, a] * scale, mu_trace=mu_tr,
                                     lambda_trace=lam_tr, metadata=metadata))
     return curves
 

@@ -275,8 +275,9 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
 
 
 def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, live):
-    """:func:`vp_iteration` on every row; returns ``(mu, rho)`` as ``(V, R)``
-    arrays.
+    """:func:`vp_iteration` on every row; returns one ``(2, V, R)`` array,
+    mu and then rho, so ``mu, rho = _vp_rows_iteration(...)`` unpacks it
+    and the block engine stores both with one assignment.
 
     ``vps`` holds one :class:`VpState` per row, row-major over ``(V, R)``
     (algorithms x runs), and each is advanced in place.  ``u`` is ``(R, L)``,
@@ -345,4 +346,4 @@ def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, live):
         vp.zeta_min = sigma_u2 * xi
         mus.append(mu_n)
         rhos.append(rho_n)
-    return np.array(mus).reshape(e.shape), np.array(rhos).reshape(e.shape)
+    return np.array((mus, rhos)).reshape((2,) + e.shape)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -129,8 +130,8 @@ def test_variable_algorithm_produces_traces():
 
 def test_diverged_runs_are_counted_and_excluded(tmp_path):
     # mu = 1.0 at L = 35 grows the weights by roughly half a decade per
-    # iteration; they cross the double-precision ceiling only after four to
-    # six hundred iterations, so the horizon must reach past that
+    # iteration; their squared deviation overflows after two to three
+    # hundred iterations, so the horizon must reach past that
     cfg = _small_cfg(
         runs=2,
         iterations=800,
@@ -147,7 +148,8 @@ def test_diverged_runs_are_counted_and_excluded(tmp_path):
     assert stable.metadata["diverged_runs"] == 0
     assert stable.metadata["runs_used"] == 2
     assert np.all(np.isfinite(stable.msd))
-    # each pair is [run, index of the update that left the finite range]
+    # each pair is [run, index of the first update whose squared deviation
+    # is not finite]
     assert all(it is not None for _, it in expected)
     assert unstable.metadata["diverged"] == expected
     assert stable.metadata["diverged"] == []
@@ -157,30 +159,56 @@ def test_diverged_runs_are_counted_and_excluded(tmp_path):
     assert [c["diverged_runs"] for c in manifest["curves"]] == [2, 0]
 
 
+_UNSTABLE = AlgorithmSpec(name="unstable", mu=1.0)
+_STABLE = AlgorithmSpec(name="grza", mode="grza", mu=0.02, rho=1e-4)
+
+
+def _diverging_cfg():
+    """41 runs (three blocks) x 480 iterations: the unstable row's squared
+    deviation overflows in every run, the stable row's in none."""
+    return _small_cfg(runs=41, iterations=480, algorithms=(_UNSTABLE, _STABLE))
+
+
 def test_divergence_across_blocks_merges_in_run_order():
-    """41 runs make three blocks, and the unstable row diverges in each: the
-    merged ``diverged`` list is sorted by run, each iteration is the scalar
-    fold's, the stable row's curve is the one it has without the unstable
-    row, and 1 and 2 workers agree."""
-    unstable = AlgorithmSpec(name="unstable", mu=1.0)
-    stable = AlgorithmSpec(name="grza", mode="grza", mu=0.02, rho=1e-4)
-    cfg = _small_cfg(runs=41, iterations=480, algorithms=(unstable, stable))
+    """41 runs make three blocks, and the unstable row diverges in every run:
+    the merged ``diverged`` list is sorted by run, each iteration is the
+    scalar fold's, the stable row's curve is the one it has without the
+    unstable row, and 1 and 2 workers agree."""
+    cfg = _diverging_cfg()
     assert gslms.harness._blocks(41) == [(0, 14), (14, 14), (28, 13)]
     with np.errstate(over="ignore", invalid="ignore"):
         serial = run_experiment(cfg, workers=1)
         pooled = run_experiment(cfg, workers=2)
-        folds = [_scalar_fold(cfg, unstable, run)[3] for run in range(41)]
-    expected = [[0, 456], [6, 473], [8, 474], [10, 435], [22, 461], [23, 478], [35, 449]]
-    assert expected == [[run, it] for run, it in enumerate(folds) if it is not None]
-    assert serial[0].metadata["diverged"] == expected
-    assert serial[0].metadata["runs_used"] == 34
+        folds = [_scalar_fold(cfg, _UNSTABLE, run)[3] for run in range(41)]
+    assert None not in folds and (min(folds), max(folds)) == (213, 321)
+    assert serial[0].metadata["diverged"] == [[run, it] for run, it in enumerate(folds)]
+    assert serial[0].metadata["runs_used"] == 0
     assert serial[1].metadata["diverged"] == []
     assert serial[1].metadata["runs_used"] == 41
-    alone = run_experiment(replace(cfg, algorithms=(stable,)))[0]
+    alone = run_experiment(replace(cfg, algorithms=(_STABLE,)))[0]
     assert_array_equal(serial[1].msd, alone.msd)
     for c1, c2 in zip(serial, pooled):
         assert c1.metadata == c2.metadata
         assert_array_equal(c1.msd, c2.msd)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_diverging_runs_are_contained_without_warnings(workers):
+    """A row counts as diverged at its first non-finite squared deviation,
+    so no run whose deviation overflowed stays in the average, and the
+    engine's overflows print no numpy warning: every run of the unstable
+    row is dropped, its curve is NaN, and the stable row keeps the bits it
+    has alone."""
+    cfg = _diverging_cfg()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        unstable, stable = run_experiment(cfg, workers=workers)
+    assert unstable.metadata["diverged_runs"] == 41
+    assert unstable.metadata["runs_used"] == 0
+    assert np.isnan(unstable.msd).all()
+    assert stable.metadata["runs_used"] == 41
+    alone = run_experiment(replace(cfg, algorithms=(_STABLE,)))[0]
+    assert_array_equal(stable.msd, alone.msd)
 
 
 def test_measured_input_power_recorded():
@@ -265,7 +293,8 @@ def test_single_loop_matches_reference_step_fold():
 def _scalar_fold(cfg, spec, run):
     """Run ``run`` of one algorithm by folding the scalar ``vp_iteration`` and
     ``step``, each evaluating the attractor itself.  Returns the MSD, mu and
-    rho per step and the ``DivergenceError`` iteration (None if none)."""
+    rho per step and the iteration of the first update whose squared
+    deviation is not finite (None if none); the fold stops there."""
     schedule = experiment_schedule(cfg)
     x = scalar_stream(cfg.input, cfg.iterations, [cfg.master_seed, run, 0])
     stream = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, run, 1])
@@ -277,7 +306,7 @@ def _scalar_fold(cfg, spec, run):
                             gamma_prime=spec.gamma_prime, mu_max=spec.mu_max)
     state = initial_state(schedule.L)
     msd, mus, rhos = [], [], []
-    for u, d, w_star in zip(stream.U, stream.d, target):
+    for i, (u, d, w_star) in enumerate(zip(stream.U, stream.d, target)):
         mu_n, rho_n = fcfg.mu, fcfg.rho
         if spec.variable:
             e = d - np.dot(state.w, u)
@@ -286,9 +315,13 @@ def _scalar_fold(cfg, spec, run):
             rhos.append(rho_n)
         try:
             state = step(state, fcfg, u, d, mu_n, rho_n)
-        except DivergenceError as exc:
-            return msd, mus, rhos, exc.iteration
-        msd.append(np.dot(state.w - w_star, state.w - w_star))
+        except DivergenceError:
+            # Weights outside the finite range: the deviation is not finite.
+            return msd, mus, rhos, i
+        deviation = np.dot(state.w - w_star, state.w - w_star)
+        if not np.isfinite(deviation):
+            return msd, mus, rhos, i
+        msd.append(deviation)
     return msd, mus, rhos, None
 
 
@@ -313,20 +346,22 @@ def _rows_by_name(cfg, first, result):
     """``_advance_block``'s ``result`` for the block that starts at run
     ``first``, indexed by algorithm name through ``_row_specs``: ``{name:
     (msd_sum, mu_sum, lam_sum, diverged)}``, the sums being columns of the
-    row arrays (mu and lambda None for a fixed row) and ``diverged`` the
-    row's ``[run, iteration]`` pairs."""
+    one sum array (A MSD columns, then V mu and V lambda columns; mu and
+    lambda None for a fixed row) and ``diverged`` the row's ``[run,
+    iteration]`` pairs."""
     specs = gslms.harness._row_specs(cfg)
     vp_specs = [s for s in specs if s.variable]
-    _, msd, mu, lam, diverged_at = result
+    A, V = len(specs), len(vp_specs)
+    _, sums, diverged_at = result
     rows = {}
     for a, spec in enumerate(specs):
         traces = (None, None)
         if spec.variable:
-            v = vp_specs.index(spec)
-            traces = (mu[:, v], lam[:, v])
+            v = A + vp_specs.index(spec)
+            traces = (sums[:, v], sums[:, v + V])
         diverged = [[first + int(r), int(diverged_at[a, r])]
                     for r in np.flatnonzero(diverged_at[a] >= 0)]
-        rows[spec.name] = (msd[:, a], *traces, diverged)
+        rows[spec.name] = (sums[:, a], *traces, diverged)
     return rows
 
 
@@ -384,8 +419,9 @@ def test_block_sums_add_runs_in_order():
 
 
 def test_diverging_row_leaves_other_rows_unchanged():
-    """A row that diverges inside a block is dropped at the scalar path's
-    iteration; the other rows, and so their sums, keep their bits."""
+    """A row that diverges inside a block is dropped at the scalar fold's
+    iteration, its first non-finite squared deviation; the other rows, and
+    so their sums, keep their bits."""
     others = (
         AlgorithmSpec(name="lms", mu=0.02),
         AlgorithmSpec(name="vp-gza", mode="gza", variable=True),
@@ -470,6 +506,9 @@ def test_block_rows_match_scalar_fold_through_every_vp_branch(monkeypatch):
         if spec.variable:
             assert_array_equal(mu_row, mus)
             assert_array_equal(lam_row, _lambda(mus, rhos))
+            # mu is exactly 0 at the first step (zero weights, small error),
+            # and lambda there is +0.0, not rho / mu = 0 / 0
+            assert mus[0] == 0.0 and lam_row[0] == 0.0 and not np.signbit(lam_row[0])
 
 
 def _random_vp_step(rng, modes, runs, L=35):
@@ -549,9 +588,9 @@ def test_vp_row_restart_leaves_other_rows_unchanged():
 
 
 def test_block_restarts_a_diverged_vp_row_from_a_fresh_state(monkeypatch):
-    """When a VP row's update leaves the finite range, the block gives that
-    row a fresh ``VpState`` for its next step; the other rows' states and
-    sums keep their bits."""
+    """When a VP row's squared deviation leaves the finite range, the block
+    gives that row a fresh ``VpState`` for its next step; the other rows'
+    states and sums keep their bits."""
     cfg = _small_cfg(runs=3, iterations=40, algorithms=(
         _ENGINE_ALGORITHMS["vp-gza"], _ENGINE_ALGORITHMS["vp-grza"]))
     rows_iteration = gslms.harness._vp_rows_iteration
@@ -561,10 +600,10 @@ def test_block_restarts_a_diverged_vp_row_from_a_fresh_state(monkeypatch):
 
         def traced(vps, u, e, beta_s, live):
             seen.append([asdict(vp) for vp in vps])
-            mu, rho = rows_iteration(vps, u, e, beta_s, live)
+            mu_rho = rows_iteration(vps, u, e, beta_s, live)
             if spike and len(seen) == 20:
-                mu[1, 1] = np.inf  # row (vp-grza, run 1) diverges at iteration 19
-            return mu, rho
+                mu_rho[0, 1, 1] = np.inf  # mu of (vp-grza, run 1): diverges at iteration 19
+            return mu_rho
 
         monkeypatch.setattr(gslms.harness, "_vp_rows_iteration", traced)
         with np.errstate(invalid="ignore", over="ignore"):
