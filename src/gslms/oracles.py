@@ -3,11 +3,13 @@
 Everything in here re-derives a quantity by independent means — exhaustive
 grid search, central finite differences, or a vectorized Monte-Carlo ensemble
 — so the analytic implementations elsewhere in the package can be checked
-against something that cannot share their bugs.  The ensemble simulator keeps
-all weight-error trajectories as rows of an (E, L) matrix and advances them
-with batched numpy expressions rather than reusing the per-sample filter loop:
-each member's input is stored time-reversed, so a step's regressors are
-contiguous rows, and one fused step walks the members in cache-sized tiles.
+against something that cannot share their bugs.  The ensemble simulator
+advances all weight-error trajectories with batched numpy expressions rather
+than reusing the per-sample filter loop.  It splits the members into
+near-equal tiles and stores each tile taps x members, so the member axis has
+unit stride: each member's input is a time-reversed column, a step's
+regressors are one contiguous (L, T) block, and every kernel of the fused
+step runs along whole rows of members.
 A step takes the per-member moment samples only when asked:
 validate_model_recursion samples every step and keeps only the per-step
 means, while ensemble_moments samples its final step alone.
@@ -24,9 +26,9 @@ from .groups import ZERO_GROUP_TOL, GRZA, AttractorMode, GroupPartition, l12_nor
 from .signals import AR1GaussianMixture, WhiteGaussian, stationary_power
 from .varparam import MomentEstimates
 
-# Members per tile of the fused ensemble step.  At L = 35 a (1024, L) float64
-# array is 280 KB, so a tile's regressor, weight and scratch rows stay in a
-# core's L2 cache across the dozen kernels of one step.
+# Most members per tile of the fused ensemble step.  At L = 35 an (L, 1024)
+# float64 array is 280 KB, so a tile's regressor block, weight-error and
+# scratch rows stay in a core's L2 cache across the dozen kernels of one step.
 TILE_MEMBERS = 1024
 
 
@@ -106,15 +108,19 @@ def finite_diff_subgradient(w: np.ndarray, p: GroupPartition, step: float = 1e-6
 def _attractor_matrix(
     W: np.ndarray, p: GroupPartition, mode: AttractorMode, out: np.ndarray
 ) -> np.ndarray:
-    """Row-wise beta .* s for a (T, L) matrix of weight vectors, into out."""
-    norms = np.sqrt(np.add.reduceat(np.multiply(W, W, out=out), p.starts, axis=1))
+    """Column-wise beta .* s for an (L, T) matrix of weight vectors, into out."""
+    sq = np.multiply(W, W, out=out)
+    norms = np.empty((p.J, W.shape[1]))
+    for g, (start, stop) in enumerate(p.bounds):
+        np.add.reduce(sq[start:stop], axis=0, out=norms[g])
+    np.sqrt(norms, out=norms)
     safe = np.where(norms > ZERO_GROUP_TOL, norms, np.inf)
     if mode.tag == GRZA:
         # combined beta/norm factor; the inf denominator of a zero group
         # divides out to an exact 0 without touching 1/0
         per_group = 1.0 / ((norms + mode.epsilon) * safe)
-        return np.multiply(W, np.repeat(per_group, p.sizes, axis=1), out=out)
-    return np.divide(W, np.repeat(safe, p.sizes, axis=1), out=out)
+        return np.multiply(W, np.repeat(per_group, p.sizes, axis=0), out=out)
+    return np.divide(W, np.repeat(safe, p.sizes, axis=0), out=out)
 
 
 def _member_samples(input_model, ensemble: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -137,14 +143,19 @@ def _member_samples(input_model, ensemble: int, count: int, rng: np.random.Gener
 class _EnsemblePass:
     """Batched simulation of `ensemble` independent trajectories.
 
-    Each member's input is stored time-reversed and zero-padded, as in
-    SignalStream.x_rev, so every step's regressors are contiguous rows of
-    one slice (see regressors()).  step() walks the members in tiles of
-    TILE_MEMBERS rows and applies the filter update to the weight-error rows
-    in place.  A sampled step also writes each member's five moment samples
-    into the (5, E) buffer samples and its squared weight error after the
-    update into the (E,) buffer trq_rows; callers reduce over the full
-    buffers, so no result depends on the tile size.
+    The members are split into near-equal tiles of at most TILE_MEMBERS,
+    and every tile is stored taps x members, so the member axis has unit
+    stride: (L, T) weight-error rows, (steps + L - 1, T) rows of the
+    time-reversed, zero-padded input (one column per member, as
+    SignalStream.x_rev), whose rows steps-1-t to steps-2-t+L are step t's
+    regressors, and (steps, T) noise rows.  No tile is narrower than two
+    members where the ensemble has two: a one-member tile is contiguous
+    along the taps, so einsum would take its dot kernel and sum in another
+    order.  step() applies the filter update to each tile's weight-error
+    rows in place.  A sampled step also writes each member's five moment
+    samples into the (5, E) buffer samples and its squared weight error
+    after the update into the (E,) buffer trq_rows; callers reduce over the
+    full buffers, so no result depends on the tiles.
     """
 
     def __init__(
@@ -162,72 +173,75 @@ class _EnsemblePass:
         L = cfg.L
         if plant.shape != (L,):
             raise ValueError("plant length must match the filter length")
+        count = max(1, min(-(-ensemble // TILE_MEMBERS), ensemble // 2))
+        edges = [ensemble * k // count for k in range(count + 1)]
+        self._spans = list(zip(edges, edges[1:]))
         ss = np.random.SeedSequence(seed)
         x_rng, z_rng = (np.random.default_rng(s) for s in ss.spawn(2))
         x = _member_samples(input_model, ensemble, steps, x_rng)
-        self._xr = np.zeros((ensemble, steps + L - 1))
-        self._xr[:, :steps] = x[:, ::-1]
-        del x  # so x, _xr and the noise never coexist
-        self._z = z_rng.normal(0.0, math.sqrt(sigma_z2), size=(ensemble, steps))
-        if w_init is None:
-            W0 = np.zeros((ensemble, L))
-        else:
-            W0 = np.broadcast_to(np.asarray(w_init, dtype=float), (ensemble, L)).copy()
-        self.plant = plant
+        self._xr = []
+        for lo, hi in self._spans:
+            xr = np.zeros((steps + L - 1, hi - lo))
+            xr[:steps] = x[lo:hi, ::-1].T
+            self._xr.append(xr)
+        del x  # so x, the regressor tiles and the noise never coexist
+        # tile by tile, these are exactly the values of one (E, steps) draw
+        sd = math.sqrt(sigma_z2)
+        self._z = [z_rng.normal(0.0, sd, size=(hi - lo, steps)).T.copy()
+                   for lo, hi in self._spans]
+        w0 = np.zeros(L) if w_init is None else np.asarray(w_init, dtype=float)
+        wt0 = (w0 - plant)[:, None]
+        self._wt = [np.broadcast_to(wt0, (L, hi - lo)).copy() for lo, hi in self._spans]
+        self.plant = plant[:, None]
         self.cfg = cfg
         self.g_floor = sigma_z2 * (L * stationary_power(input_model))  # sigma_z2 tr{R_u}
-        self.Wt = W0 - plant  # weight-error rows
-        self.ensemble = ensemble
         self.steps = steps
         self.t = 0
         # rows g, h, ell, r1, r2; an LMS pass never writes h, ell or r2,
         # which are exactly 0 without an attractor
         self.samples = np.zeros((5, ensemble))
-        self.trq_rows = np.vecdot(self.Wt, self.Wt)
-        tile = min(TILE_MEMBERS, ensemble)
-        self._tile = tile
-        self._a = np.empty(tile)
-        self._scratch = np.empty((tile, L))
-        self._bs = np.empty((tile, L)) if cfg.mode is not None else None
-
-    def regressors(self, t: int) -> np.ndarray:
-        """(E, L) view whose row i is member i's regressor [x_t, ..., x_{t-L+1}]."""
-        return self._xr[:, self.steps - 1 - t:][:, :self.cfg.L]
+        self.trq_rows = np.empty(ensemble)
+        for (lo, hi), Wt in zip(self._spans, self._wt):
+            np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[lo:hi])
+        width = max(hi - lo for lo, hi in self._spans)
+        self._a = np.empty(width)
+        self._scratch = np.empty(L * width)
+        self._bs = np.empty(L * width) if cfg.mode is not None else None
 
     def step(self, sample: bool = False) -> None:
         """Apply step t's filter update to every member.  With sample, first
         take the five moment samples at step t, and after the update each
         member's squared weight error.  The attractor is evaluated only when
         the samples or the update read it."""
-        t, cfg = self.t, self.cfg
+        t, cfg, L = self.t, self.cfg, self.cfg.L
         attract = cfg.mode is not None and (sample or cfg.rho != 0.0)
-        U_all = self.regressors(t)
-        for lo in range(0, self.ensemble, self._tile):
-            hi = min(lo + self._tile, self.ensemble)
-            U, Wt, a = U_all[lo:hi], self.Wt[lo:hi], self._a[:hi - lo]
-            S = self._scratch[:hi - lo]
-            np.vecdot(Wt, U, out=a)
+        first = self.steps - 1 - t
+        for (lo, hi), xr, z, Wt in zip(self._spans, self._xr, self._z, self._wt):
+            n = hi - lo
+            U, a = xr[first:first + L], self._a[:n]
+            S = self._scratch[:L * n].reshape(L, n)
+            np.einsum("lt,lt->t", Wt, U, out=a)
             if attract:
                 BS = _attractor_matrix(np.add(Wt, self.plant, out=S), cfg.partition,
-                                       cfg.mode, self._bs[:hi - lo])
+                                       cfg.mode, self._bs[:L * n].reshape(L, n))
             if sample:
                 g, h, ell, r1, r2 = self.samples[:, lo:hi]
                 np.multiply(a, a, out=r1)
-                np.vecdot(U, U, out=g)
+                np.einsum("lt,lt->t", U, U, out=g)
                 g *= r1
                 g += self.g_floor
                 if cfg.mode is not None:
-                    np.vecdot(BS, BS, out=h)
-                    np.vecdot(U, BS, out=ell)
+                    np.einsum("lt,lt->t", BS, BS, out=h)
+                    np.einsum("lt,lt->t", U, BS, out=ell)
                     ell *= a
-                    np.vecdot(BS, Wt, out=r2)
-            e = np.subtract(self._z[lo:hi, t], a, out=a)
+                    np.einsum("lt,lt->t", BS, Wt, out=r2)
+            e = np.subtract(z[t], a, out=a)
             e *= cfg.mu
-            Wt += np.multiply(e[:, None], U, out=S)
+            Wt += np.multiply(e, U, out=S)
             if cfg.mode is not None and cfg.rho != 0.0:
                 Wt -= np.multiply(BS, cfg.rho, out=S)
             if sample:
-                np.vecdot(Wt, Wt, out=self.trq_rows[lo:hi])
+                np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[lo:hi])
         self.t = t + 1
 
 
@@ -310,22 +324,25 @@ def validate_model_recursion(
     if not isinstance(input_model, WhiteGaussian):
         raise TypeError("model validation is defined for white Gaussian input only")
     run = _EnsemblePass(plant, input_model, cfg, sigma_z2, horizon, ensemble, seed)
-    means = np.empty((5, horizon))  # rows g, h, ell, r1, r2
-    trq = np.empty(horizon + 1)
-    trq[0] = run.trq_rows.mean()
-    for t in range(horizon):
-        run.step(sample=True)
-        means[:, t] = run.samples.mean(axis=1)
-        trq[t + 1] = run.trq_rows.mean()
-    g, h, ell, r1, r2 = means
-    mu, rho = cfg.mu, cfg.rho
-    model_inc = (
-        mu * mu * g + rho * rho * h + 2.0 * mu * rho * ell
-        - 2.0 * mu * r1 - 2.0 * rho * r2
-    )
-    ens_inc = np.diff(trq)
-    denom = np.maximum(np.abs(model_inc), np.finfo(float).tiny)
-    rel = np.abs(ens_inc - model_inc) / denom
+    # a diverging case overflows to inf and nan; its deviation reads NaN,
+    # which fails the tolerance, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.empty((5, horizon))  # rows g, h, ell, r1, r2
+        trq = np.empty(horizon + 1)
+        trq[0] = run.trq_rows.mean()
+        for t in range(horizon):
+            run.step(sample=True)
+            means[:, t] = run.samples.mean(axis=1)
+            trq[t + 1] = run.trq_rows.mean()
+        g, h, ell, r1, r2 = means
+        mu, rho = cfg.mu, cfg.rho
+        model_inc = (
+            mu * mu * g + rho * rho * h + 2.0 * mu * rho * ell
+            - 2.0 * mu * r1 - 2.0 * rho * r2
+        )
+        ens_inc = np.diff(trq)
+        denom = np.maximum(np.abs(model_inc), np.finfo(float).tiny)
+        rel = np.abs(ens_inc - model_inc) / denom
     mode = cfg.mode.tag if cfg.mode is not None else "lms"
     return ModelValidationReport(
         mu=mu, rho=rho, mode=mode, horizon=horizon, ensemble=ensemble,

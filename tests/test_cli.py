@@ -190,6 +190,7 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_validate_model_case_fails_without_traceback(capsys):
     """At mu = 10 the ensemble diverges: the per-member samples overflow,
     so their standard errors are not finite.  Validation reads only means,
@@ -202,6 +203,7 @@ def test_diverging_validate_model_case_fails_without_traceback(capsys):
     assert lines[0].endswith(" -> FAIL")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_validate_model_json_reports_nan_as_failed(capsys):
     """Over 400 steps the means themselves overflow; the deviation reads
     NaN, which is not within the tolerance."""

@@ -365,18 +365,45 @@ def test_results_do_not_depend_on_the_tile_size(monkeypatch, tile):
     assert tiled_moments == moments  # every field, bit for bit
 
 
-def test_regressor_rows_are_the_reversed_sliding_windows():
-    L, steps, ensemble, seed = 35, 40, 6, 13
+@pytest.mark.parametrize("ensemble", [2, 1025])
+def test_no_tile_is_narrower_than_two_members(monkeypatch, ensemble):
+    """A one-member tile would sum its dot products in another order: at 2
+    members a tile of 1, and at 1025 a last tile of 1 after 1024."""
+    plant = benchmark_plants()[0]
+    cfg = _grza_config(mu=0.005, rho=1e-4)
+
+    def results():
+        report = validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
+                                          horizon=6, ensemble=ensemble, seed=8)
+        moments = ensemble_moments(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01, n=6,
+                                   ensemble=ensemble, seed=9, w_init=0.5 * plant)
+        return report, moments
+
+    report, moments = results()
+    for tile in (1, 1024, 2 * ensemble):
+        monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", tile)
+        tiled_report, tiled_moments = results()
+        for field in ("trq", "ensemble_increments", "model_increments", "rel_deviation"):
+            assert np.array_equal(getattr(report, field), getattr(tiled_report, field)), field
+        assert tiled_moments == moments, tile
+
+
+def test_regressor_rows_are_the_reversed_sliding_windows(monkeypatch):
+    L, steps, ensemble, seed = 35, 40, 7, 13
+    monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", 3)  # tiles of 2, 2 and 3 members
     run = _EnsemblePass(benchmark_plants()[0], AR1GaussianMixture(), _lms_config(), 0.01,
                         steps, ensemble, seed)
     x_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     x = _member_samples(AR1GaussianMixture(), ensemble, steps, x_rng)
     padded = np.concatenate([np.zeros((ensemble, L - 1)), x], axis=1)
     windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)
-    for t in range(steps):
-        U = run.regressors(t)
-        assert U.shape == (ensemble, L) and U.strides[1] == U.itemsize
-        assert np.array_equal(U, windows[:, t, ::-1]), t
+    assert run._spans == [(0, 2), (2, 4), (4, 7)]
+    for (lo, hi), xr in zip(run._spans, run._xr):
+        for t in range(steps):
+            U = xr[steps - 1 - t:][:L]  # the block step() reads
+            assert U.shape == (L, hi - lo) and U.flags.c_contiguous
+            for j in range(hi - lo):
+                assert np.array_equal(U[:, j], windows[lo + j, t, ::-1]), (t, lo + j)
 
 
 def test_lms_attractor_moments_are_exactly_zero():
