@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from .config import (
-    BUILTIN_EXPERIMENTS, ConfigError, builtin_config, load_config,
+    BUILTIN_EXPERIMENTS, ConfigError, ExperimentConfig, builtin_config, load_config,
     serialize_config,
 )
 from .filters import FilterConfig
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--horizon", type=int, default=50)
     p_val.add_argument("--ensemble", type=int, default=5000)
     p_val.add_argument("--seed", type=int, default=12345)
-    p_val.add_argument("--sigma-z2", type=float, default=0.01)
+    p_val.add_argument("--sigma-z2", type=float, default=ExperimentConfig.sigma_z2)
     p_val.add_argument("--tol", type=float, default=0.05, help="pass/fail threshold on max relative deviation")
     p_val.add_argument("--json", action="store_true", help="emit the full report as JSON")
 
@@ -126,7 +126,7 @@ def _cmd_experiment(cfg, args) -> int:
 
 def _cmd_validate(args) -> int:
     plant = benchmark_plants()[0]
-    partition = GroupPartition.contiguous(plant.shape[0], 5)
+    partition = GroupPartition.contiguous(plant.shape[0], ExperimentConfig.group_size)
     custom = args.mode is not None or args.mu is not None or args.rho is not None
     if custom:
         mode_tag = args.mode if args.mode is not None else ("grza" if args.rho else "lms")
@@ -136,7 +136,7 @@ def _cmd_validate(args) -> int:
         cases = [("lms", 0.005, 0.0), ("grza", 0.005, 1e-4)]
     reports = []
     for mode_tag, mu, rho in cases:
-        mode = None if mode_tag == "lms" else AttractorMode(mode_tag, 0.1)
+        mode = None if mode_tag == "lms" else AttractorMode(mode_tag, ExperimentConfig.epsilon)
         cfg = FilterConfig(plant.shape[0], partition, mode, mu=mu, rho=rho)
         reports.append(validate_model_recursion(
             plant, WhiteGaussian(1.0), cfg, args.sigma_z2,

@@ -165,15 +165,13 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     # Plain-LMS rows keep a zero attractor, so ``rho * beta_s`` is zero there.
     beta_s = np.zeros((A, R, L))
     w = np.zeros((A, R, L))
-    # Per-step buffers.  They, ``w``, ``beta_s``, ``mu_rho`` and ``live`` are
-    # only written in place, so views of them taken once stay valid.
-    me, tmp, diff = np.empty((A, R)), np.empty((A, R, L)), np.empty((A, R, L))
-    live = np.ones((A, R), dtype=bool)
-    mu, me_col, rho_col = mu_rho[0], me[..., None], mu_rho[1][..., None]
+    diverged_at = np.full((A, R), -1)
+    # ``w``, ``beta_s``, ``mu_rho`` and ``diverged_at`` are only written in
+    # place, so views of them taken once stay valid.
+    mu, rho_col = mu_rho[0], mu_rho[1][..., None]
     mu_rho_variable = mu_rho[:, variable]
     w_attract, beta_s_attract = w[attract], beta_s[attract]
-    beta_s_variable, live_variable = beta_s[variable], live[variable]
-    diverged_at = np.full((A, R), -1)
+    beta_s_variable, diverged_variable = beta_s[variable], diverged_at[variable]
     counted = np.ones((A, R), dtype=bool) if dropped is None else ~dropped
     counted = np.concatenate((counted, counted[variable], counted[variable]))
 
@@ -207,20 +205,19 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
                                            out=beta_s_attract)
                 if V:
                     mu_rho_variable[...] = vp_buf[j] = _vp_rows_iteration(
-                        vps, u, e[variable], beta_s_variable, live_variable)
+                        vps, u, e[variable], beta_s_variable, diverged_variable)
                 # w += mu e u - rho beta_s, in the order ``filters.step`` adds.
-                np.multiply(mu, e, out=me)
-                w += np.multiply(me_col, u, out=tmp)
+                w += (mu * e)[..., None] * u
                 if attracting:
-                    w -= np.multiply(rho_col, beta_s, out=tmp)
-                msd = np.vecdot(np.subtract(w, w_star, out=diff), diff, out=msd_buf[j])
+                    w -= rho_col * beta_s
+                diff = w - w_star
+                msd = np.vecdot(diff, diff, out=msd_buf[j])
                 # MSDs are non-negative, so one non-finite row makes the total
                 # non-finite: a finite total clears every row without the
                 # per-row test.
                 if not math.isfinite(msd.sum()):
                     failed = ~np.isfinite(msd)
-                    diverged_at[live & failed] = i
-                    live &= ~failed
+                    diverged_at[failed & (diverged_at < 0)] = i
                     w[failed] = 0.0
                     for k in np.flatnonzero(failed[variable]).tolist():
                         vps[k] = fresh_vp(k)

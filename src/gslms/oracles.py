@@ -262,11 +262,14 @@ def ensemble_moments(
     expectations with the true weight error w_n - plant.
     """
     run = _EnsemblePass(plant, input_model, cfg, sigma_z2, n + 1, ensemble, seed, w_init)
-    for _ in range(n):
-        run.step()
-    run.step(sample=True)  # its update, on the pass's last noise column, goes unread
-    means = run.samples.mean(axis=1).tolist()
-    ses = (run.samples.std(axis=1, ddof=1) / math.sqrt(ensemble)).tolist()
+    # a diverging ensemble overflows to inf and nan; its standard errors
+    # then fail EnsembleMoments' check, so numpy need not warn about it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n):
+            run.step()
+        run.step(sample=True)  # its update, on the pass's last noise column, goes unread
+        means = run.samples.mean(axis=1).tolist()
+        ses = (run.samples.std(axis=1, ddof=1) / math.sqrt(ensemble)).tolist()
     return EnsembleMoments(*means, *ses, ensemble=ensemble)
 
 

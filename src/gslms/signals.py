@@ -95,12 +95,6 @@ class PlantSchedule:
     def L(self) -> int:
         return self.segments[0][1].shape[0]
 
-    def active_indices(self, n_iterations: int) -> np.ndarray:
-        """Segment index active at each 0-based sample ``0..n_iterations-1``."""
-        starts = np.array([s for s, _ in self.segments])
-        # sample i is 1-based iteration i+1
-        return np.searchsorted(starts, np.arange(1, n_iterations + 1), side="right") - 1
-
     def stage_bounds(self) -> list[tuple[int, int]]:
         """Half-open 0-based sample ranges of each segment."""
         starts = [s - 1 for s, _ in self.segments] + [self.total_iterations]
@@ -209,7 +203,8 @@ class SignalStream:
 
     ``x_rev`` is the input reversed and zero-padded with ``L - 1`` samples,
     ``d`` the noisy plant output, ``plant_index[i]`` the active schedule
-    segment at sample ``i``.
+    segment at sample ``i`` (int64, sorted: segment ``k`` repeated over its
+    samples, as :func:`simulate_plant` splits them).
     """
 
     x_rev: np.ndarray
@@ -233,15 +228,17 @@ def simulate_plant(
     """Pass a scalar input stream through the scheduled plant plus noise.
 
     Applies the active plant vector to each tapped-delay regressor of ``x``
-    (the last segment runs to the end of ``x``) and adds i.i.d. Gaussian
-    measurement noise drawn from an RNG stream independent of the input.
+    and adds i.i.d. Gaussian measurement noise drawn from an RNG stream
+    independent of the input.  Segment ``k`` covers its
+    :meth:`PlantSchedule.stage_bounds` range clipped to ``len(x)``, except
+    that the last segment runs to the end of ``x``.
     """
     n = x.shape[0]
+    # Samples of segment k are [edges[k], edges[k+1]).
+    edges = np.minimum([lo for lo, _ in schedule.stage_bounds()] + [n], n)
     d = np.empty(n)
     stream = SignalStream(np.concatenate([x[::-1], np.zeros(schedule.L - 1)]), d,
-                          schedule.active_indices(n), schedule)
-    # Samples of segment k are [edges[k], edges[k+1]): plant_index is sorted.
-    edges = np.searchsorted(stream.plant_index, np.arange(len(schedule.segments) + 1))
+                          np.repeat(np.arange(len(edges) - 1), np.diff(edges)), schedule)
     U = stream.U
     for (_, w), lo, hi in zip(schedule.segments, edges, edges[1:]):
         d[lo:hi] = np.einsum("ij,j->i", U[lo:hi], w)

@@ -274,7 +274,7 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
     return mu_n, rho_n
 
 
-def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, live):
+def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, diverged_at):
     """:func:`vp_iteration` on every row; returns one ``(2, V, R)`` array,
     mu and then rho, so ``mu, rho = _vp_rows_iteration(...)`` unpacks it
     and the block engine stores both with one assignment.
@@ -289,9 +289,10 @@ def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, live):
     and ``sigma_u2`` are read once from the first row: the engine builds
     every row from one config.  ``max(a, b)`` is spelled ``b if b > a else
     a`` and ``min(a, b)`` ``b if b < a else a``: the builtins' results, signed
-    zeros and NaNs included, without their call cost.  Only rows marked in
-    ``live`` (indexed by the length of an output list) can raise
-    :class:`ModelError`.
+    zeros and NaNs included, without their call cost.  ``diverged_at`` is
+    ``(V, R)``: the iteration at which each row diverged, or -1.  Only rows
+    still at -1 (indexed by the length of an output list) can raise
+    :class:`ModelError`; a diverged row steps on without raising.
     """
     L, sigma_z2, sigma_u2 = vps[0].L, vps[0].sigma_z2, vps[0].sigma_u2
     g0, g1 = sigma_z2 * sigma_u2 * L, (2.0 + L) * sigma_u2  # g = g0 + g1 * zeta
@@ -303,9 +304,9 @@ def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, live):
         zeta = z_min if z_min > zeta else zeta
         g = g0 + g1 * zeta
         if not g > 0:
-            if live.flat[len(gs)]:
+            if diverged_at.flat[len(gs)] < 0:
                 raise ModelError(f"normalization moment must be positive, got g={g}")
-            g = math.nan  # a dead row: keep Python from raising on x / 0.0
+            g = math.nan  # a diverged row: keep Python from raising on x / 0.0
         zetas.append(zeta)
         gs.append(g)
         cs.append(-(zeta / g) * e_k)
@@ -321,7 +322,7 @@ def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, live):
         # solve_optimal_params.  A non-finite g, h or ell makes det non-finite,
         # so the cheap test only passes when every moment is finite.
         det = g * h - ell * ell
-        if (not math.isfinite(det + r2) and live.flat[len(mus)]
+        if (not math.isfinite(det + r2) and diverged_at.flat[len(mus)] < 0
                 and not all(map(math.isfinite, (g, h, ell, r1, r2)))):
             m = MomentEstimates(g=g, h=h, ell=ell, r1=r1, r2=r2)
             raise ModelError(f"non-finite moment estimates: {m}")

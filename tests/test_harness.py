@@ -1,5 +1,6 @@
 """Unit tests for the Monte-Carlo runner and the curve emitter."""
 
+import copy
 import csv
 import json
 import warnings
@@ -454,19 +455,35 @@ def test_diverging_row_leaves_other_rows_unchanged():
      dict(input=WhiteGaussian(1e-300), sigma_z2=0.0)],
     ids=["moments-overflow", "zero-normalization"],
 )
-def test_block_raises_the_scalar_model_error(changes):
-    """A live VP row whose transient model breaks stops the block with the
-    scalar fold's ``ModelError`` message, non-finite moments and a
-    non-positive normalization alike."""
+def test_block_raises_the_scalar_model_error(changes, monkeypatch):
+    """A VP row not yet diverged whose transient model breaks stops the
+    block with the scalar fold's ``ModelError`` message, non-finite moments
+    and a non-positive normalization alike.  On the inputs of that step,
+    ``_vp_rows_iteration`` raises for a row whose ``diverged_at`` is -1 and
+    steps a row marked diverged on without raising."""
     vp_spec = _ENGINE_ALGORITHMS["vp-gza"]
     cfg = _small_cfg(runs=1, iterations=50,
                      algorithms=(_ENGINE_ALGORITHMS["lms"], vp_spec), **changes)
+    rows_iteration = gslms.harness._vp_rows_iteration
+    calls = []
+
+    def recorded(vps, u, e, beta_s, diverged_at):
+        calls.append(copy.deepcopy((vps, u, e, beta_s)))
+        return rows_iteration(vps, u, e, beta_s, diverged_at)
+
+    monkeypatch.setattr(gslms.harness, "_vp_rows_iteration", recorded)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(gslms.varparam.ModelError) as scalar:
             _scalar_fold(cfg, vp_spec, 0)
         with pytest.raises(gslms.varparam.ModelError) as block:
             gslms.harness._advance_block(cfg, 0, 1)
-    assert str(block.value) == str(scalar.value)
+        with pytest.raises(gslms.varparam.ModelError) as rows:
+            rows_iteration(*copy.deepcopy(calls[-1]), np.full((1, 1), -1))
+        # marked diverged: any iteration >= 0, 0 included
+        marked = [rows_iteration(*copy.deepcopy(calls[-1]), np.full((1, 1), it))
+                  for it in (0, 1)]
+    assert str(block.value) == str(rows.value) == str(scalar.value)
+    assert [mu_rho.shape for mu_rho in marked] == [(2, 1, 1)] * 2
 
 
 def test_block_rows_match_scalar_fold_through_every_vp_branch(monkeypatch):
@@ -541,12 +558,12 @@ def test_vp_rows_state_matches_scalar_fold(rows, runs, seed):
              for mode, *_ in rows]
     vps, refs = ([VpState.for_filter(L, sigma_z2, sigma_u2, *params)
                   for _, *params in rows for _ in range(runs)] for _ in range(2))
-    live = np.ones((len(rows), runs), dtype=bool)
+    diverged_at = np.full((len(rows), runs), -1)
     state = initial_state(L)
     rng = np.random.default_rng(seed)
     for _ in range(40):
         u, e, beta_s = _random_vp_step(rng, [mode for mode, *_ in rows], runs, L)
-        mu, rho = gslms.varparam._vp_rows_iteration(vps, u, e, beta_s, live)
+        mu, rho = gslms.varparam._vp_rows_iteration(vps, u, e, beta_s, diverged_at)
         for k, (vp, ref) in enumerate(zip(vps, refs)):
             a, r = divmod(k, runs)
             scalar = vp_iteration(ref, state, fcfgs[a], u[r], float(e[a, r]), beta_s[a, r])
@@ -565,19 +582,20 @@ def test_vp_row_restart_leaves_other_rows_unchanged():
     rows, restarted = ([fresh(s) for s in specs for _ in range(3)] for _ in range(2))
     alone = [fresh(specs[1])]
     rng = np.random.default_rng(7)
-    live = np.ones((2, 3), dtype=bool)
+    diverged_at = np.full((2, 3), -1)
     for n in range(10):
         u, e, beta_s = _random_vp_step(rng, ["gza", "grza"], 3)
         if n == 5:
             assert asdict(restarted[3]) != asdict(alone[0])
             restarted[3] = fresh(specs[1])
-        mu, rho = gslms.varparam._vp_rows_iteration(rows, u, e, beta_s, live)
-        mu_re, rho_re = gslms.varparam._vp_rows_iteration(restarted, u, e, beta_s, live)
+        mu, rho = gslms.varparam._vp_rows_iteration(rows, u, e, beta_s, diverged_at)
+        mu_re, rho_re = gslms.varparam._vp_rows_iteration(restarted, u, e, beta_s,
+                                                          diverged_at)
         keep = np.ones((2, 3), dtype=bool)
         if n >= 5:
             keep[1, 0] = False
             mu_alone, rho_alone = gslms.varparam._vp_rows_iteration(
-                alone, u[:1], e[1:, :1], beta_s[1:, :1], live[:1, :1])
+                alone, u[:1], e[1:, :1], beta_s[1:, :1], diverged_at[:1, :1])
             assert (mu_re[1, 0], rho_re[1, 0]) == (mu_alone[0, 0], rho_alone[0, 0])
             assert asdict(restarted[3]) == asdict(alone[0])
         assert_array_equal(mu_re[keep], mu[keep])
@@ -598,9 +616,9 @@ def test_block_restarts_a_diverged_vp_row_from_a_fresh_state(monkeypatch):
     def block(spike):
         seen = []
 
-        def traced(vps, u, e, beta_s, live):
+        def traced(vps, u, e, beta_s, diverged_at):
             seen.append([asdict(vp) for vp in vps])
-            mu_rho = rows_iteration(vps, u, e, beta_s, live)
+            mu_rho = rows_iteration(vps, u, e, beta_s, diverged_at)
             if spike and len(seen) == 20:
                 mu_rho[0, 1, 1] = np.inf  # mu of (vp-grza, run 1): diverges at iteration 19
             return mu_rho

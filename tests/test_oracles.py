@@ -186,6 +186,17 @@ def test_ensemble_moments_validation():
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_ensemble_moments_raise_without_warnings():
+    """A diverging ensemble overflows to inf and nan: its standard errors are
+    not finite, so EnsembleMoments raises, and numpy prints no warning first."""
+    with pytest.raises(ValueError, match="standard errors must be finite"):
+        ensemble_moments(
+            benchmark_plants()[0], WhiteGaussian(1.0), _lms_config(mu=10.0),
+            sigma_z2=0.01, n=400, ensemble=50, seed=12345,
+        )
+
+
 def test_ensemble_moments_plant_length_check():
     with pytest.raises(ValueError):
         ensemble_moments(

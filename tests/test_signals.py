@@ -169,13 +169,27 @@ def test_schedule_requires_shared_length():
         PlantSchedule(segments=((1, np.zeros(3)), (5, np.zeros(4))), total_iterations=10)
 
 
-def test_schedule_active_indices_and_stage_bounds():
+def _segment_per_sample(sched, n):
+    """Segment active at each 0-based sample ``0..n-1``: sample i is 1-based
+    iteration i+1, and the last segment runs to ``n``."""
+    starts = [s for s, _ in sched.segments]
+    return np.searchsorted(starts, np.arange(1, n + 1), side="right") - 1
+
+
+def test_schedule_plant_index_and_stage_bounds():
     w = [np.full(2, float(k)) for k in range(3)]
     sched = PlantSchedule(
         segments=((1, w[0]), (5, w[1]), (9, w[2])), total_iterations=12
     )
-    assert_array_equal(sched.active_indices(12), [0] * 4 + [1] * 4 + [2] * 4)
     assert sched.stage_bounds() == [(0, 4), (4, 8), (8, 12)]
+    assert_array_equal(simulate_plant(sched, np.ones(12), 0.0, noise_seed=0).plant_index,
+                       [0] * 4 + [1] * 4 + [2] * 4)
+    # fewer samples than the schedule clip it; more run the last segment on
+    for n in (0, 1, 3, 5, 12, 15):
+        index = simulate_plant(sched, np.ones(n), 0.0, noise_seed=0).plant_index
+        reference = _segment_per_sample(sched, n)
+        assert index.dtype == reference.dtype == np.int64
+        assert_array_equal(index, reference)
 
 
 def test_benchmark_schedule_default_switches():
@@ -301,13 +315,14 @@ def test_simulate_matches_materialised_regressors(n):
     padded = np.concatenate([np.zeros(L - 1), x])
     U = np.array([padded[i:i + L][::-1] for i in range(n)]).reshape(n, L)
     plants = np.stack([w for _, w in sched.segments])
-    d = np.einsum("ij,ij->i", U, plants[sched.active_indices(n)])
+    index = _segment_per_sample(sched, n)
+    d = np.einsum("ij,ij->i", U, plants[index])
     d = d + np.random.default_rng(n + 1).normal(0.0, np.sqrt(0.01), size=n)
     assert_array_equal(stream.U, U)
     assert_array_equal(stream.d, d)
     assert np.shares_memory(stream.U, stream.x_rev) or n == 0
-    if n > 16000:
-        assert_array_equal(stream.plant_index[16000:], 2)
+    assert stream.plant_index.dtype == index.dtype == np.int64
+    assert_array_equal(stream.plant_index, index)
 
 
 def test_simulate_empty_stream():
