@@ -115,7 +115,7 @@ def _cmd_experiment(cfg, args) -> int:
     schedule = experiment_schedule(cfg)
     print(f"experiment {cfg.experiment}: {cfg.runs} runs x {cfg.iterations} iterations")
     for curve in curves:
-        stages = steady_state_db(curve.msd, schedule) if cfg.iterations else []
+        stages = steady_state_db(curve.msd, schedule)
         stage_txt = "  ".join(f"stage{k+1} {v:.2f} dB" for k, v in enumerate(stages))
         diverged = curve.metadata["diverged_runs"]
         divergence = f"  [{diverged} diverged]" if diverged else ""

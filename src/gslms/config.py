@@ -64,6 +64,8 @@ class AlgorithmSpec:
             if not all(math.isfinite(v) and v >= 0 for v in (self.mu, self.rho)):
                 raise ConfigError(f"fixed mu and rho must be finite and nonnegative, "
                                   f"got mu={self.mu}, rho={self.rho}")
+            if self.mode is None and self.rho != 0:
+                raise ConfigError(f"plain LMS takes no rho (only gza or grza), got rho={self.rho}")
 
 
 @dataclass(frozen=True)

@@ -122,10 +122,10 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     lambda = rho / mu), each added over the block's runs in run order and
     leaving out the rows that the ``(A, R)`` mask ``dropped`` sets; and the
     ``(A, R)`` 0-based iteration of the first update after which each row's
-    squared deviation is not finite, or -1.  Such a row has diverged: it
-    restarts from zero, and no other row changes.  The step loop runs under
-    one ``np.errstate`` that hides the overflow and invalid-value warnings a
-    diverging row raises; ``diverged_at`` records it instead.
+    squared deviation is not finite, or -1.  Such a row has diverged: it steps
+    on with non-finite values, which :func:`_run_block` leaves out of the sums,
+    and no other row changes.  The step loop runs under one ``np.errstate``
+    that hides the warnings it raises; ``diverged_at`` records it instead.
     """
     schedule = experiment_schedule(cfg)
     L, N, A, R = schedule.L, cfg.iterations, len(cfg.algorithms), count
@@ -146,12 +146,8 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     variable = _rank_slice(ranks, 1, 3)
     V = len(specs[variable])
 
-    def fresh_vp(k):
-        """Initial VP state of variable row ``k``, row-major over ``(V, R)``."""
-        s = specs[variable][k // R]
-        return VpState.for_filter(L, cfg.sigma_z2, cfg.sigma_u2, s.gamma, s.gamma_prime, s.mu_max)
-
-    vps = [fresh_vp(k) for k in range(V * R)]
+    vps = [VpState.for_filter(L, cfg.sigma_z2, cfg.sigma_u2, s.gamma, s.gamma_prime, s.mu_max)
+           for s in specs[variable] for _ in range(R)]
     # One attractor evaluation per step over the attractor rows, GRZA rows
     # (``grza``, relative to ``attract``) reweighted.  A fixed row with
     # rho = 0 gets one too: its weights are never -0.0, so subtracting
@@ -161,7 +157,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     grza = slice(grza.start - attract.start, grza.stop - attract.start)
     attracting = attract.stop > attract.start
     mu_rho = np.repeat(np.array([[[s.mu] for s in specs],
-                                 [[s.rho if s.mode else 0.0] for s in specs]]), R, axis=2)
+                                 [[s.rho] for s in specs]]), R, axis=2)
     # Plain-LMS rows keep a zero attractor, so ``rho * beta_s`` is zero there.
     beta_s = np.zeros((A, R, L))
     w = np.zeros((A, R, L))
@@ -199,8 +195,8 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
                 u = xr[:, N - 1 - i:N - 1 - i + L]
                 e = d[i] - np.vecdot(w, u)
                 if attracting:
-                    # Looked up on ``groups`` so a wrapper installed there (a
-                    # tracer) sees every evaluation.
+                    # Looked up on ``groups`` so a wrapper there (a call-count
+                    # test's, a benchmark span) sees every evaluation.
                     groups._attractor_rows(w_attract, partition, cfg.epsilon, grza,
                                            out=beta_s_attract)
                 if V:
@@ -218,9 +214,6 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
                 if not math.isfinite(msd.sum()):
                     failed = ~np.isfinite(msd)
                     diverged_at[failed & (diverged_at < 0)] = i
-                    w[failed] = 0.0
-                    for k in np.flatnonzero(failed[variable]).tolist():
-                        vps[k] = fresh_vp(k)
                 if j == CHUNK_STEPS - 1 or i == N - 1:
                     add_chunk(i - j, i + 1)
 

@@ -73,7 +73,7 @@ class PlantSchedule:
 
     Segment ``k`` is active for samples ``start_k <= n < start_{k+1}`` (the
     last one until ``total_iterations`` inclusive).  The first start must be
-    1 and all weight vectors must share one length.
+    1, no start may pass ``total_iterations``, and all vectors share one length.
     """
 
     segments: tuple[tuple[int, np.ndarray], ...]
@@ -87,6 +87,9 @@ class PlantSchedule:
         starts = [s for s, _ in self.segments]
         if any(b <= a for a, b in zip(starts, starts[1:])):
             raise ValueError("segment starts must be strictly increasing")
+        if starts[-1] > max(self.total_iterations, 1):
+            raise ValueError(f"segment start {starts[-1]} lies past "
+                             f"total_iterations={self.total_iterations}")
         L = self.segments[0][1].shape[0]
         if any(w.shape != (L,) for _, w in self.segments):
             raise ValueError("all plant vectors must share one length")

