@@ -83,16 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
-    updates = {}
-    if args.runs is not None:
-        updates["runs"] = args.runs
-    if args.iterations is not None:
-        updates["iterations"] = args.iterations
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.format is not None:
-        updates["format"] = args.format
-    return replace(cfg, **updates) if updates else cfg
+    flags = (("runs", args.runs), ("iterations", args.iterations),
+             ("master_seed", args.seed), ("format", args.format))
+    return replace(cfg, **{name: value for name, value in flags if value is not None})
 
 
 def _resolve_output_dir(cfg, args) -> str:

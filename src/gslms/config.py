@@ -54,6 +54,12 @@ class AlgorithmSpec:
             raise ConfigError(f"unknown algorithm mode {self.mode!r}")
         if not self.name:
             raise ConfigError("algorithm name must be nonempty")
+        # A field the other kind uses would change config_hash, yet
+        # serialize_config drops it and the engine never reads it.
+        cls = type(self)
+        if ((self.mu, self.rho) != (0.0, 0.0) if self.variable else
+                (self.gamma, self.gamma_prime, self.mu_max) != (cls.gamma, cls.gamma_prime, None)):
+            raise ConfigError(f"{_PARAM_KEYS[not self.variable][1]}, got {self!r}")
         if self.variable:
             for g in (self.gamma, self.gamma_prime):
                 if not 0.0 <= g < 1.0:

@@ -16,6 +16,7 @@ import multiprocessing
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -77,13 +78,8 @@ def _blocks(runs: int) -> list[tuple[int, int]]:
     """Contiguous, near-equal ``(first, count)`` run blocks of at most
     :data:`BLOCK_RUNS` runs; they depend on ``runs`` alone."""
     n = -(-runs // BLOCK_RUNS)
-    base, extra = divmod(runs, n)
-    out, first = [], 0
-    for k in range(n):
-        count = base + (k < extra)
-        out.append((first, count))
-        first += count
-    return out
+    counts = [runs // n + (k < runs % n) for k in range(n)]
+    return list(zip(accumulate(counts, initial=0), counts))
 
 
 # Row order inside a block, by (variable, mode): lms, vp-lms, vp-gza,
@@ -200,8 +196,8 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
                     groups._attractor_rows(w_attract, partition, cfg.epsilon, grza,
                                            out=beta_s_attract)
                 if V:
-                    mu_rho_variable[...] = vp_buf[j] = _vp_rows_iteration(
-                        vps, u, e[variable], beta_s_variable, diverged_variable)
+                    mu_rho_variable[...] = _vp_rows_iteration(
+                        vps, u, e[variable], beta_s_variable, diverged_variable, vp_buf[j])
                 # w += mu e u - rho beta_s, in the order ``filters.step`` adds.
                 w += (mu * e)[..., None] * u
                 if attracting:

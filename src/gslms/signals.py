@@ -62,6 +62,9 @@ class AR1GaussianMixture:
             raise ValueError(f"mixture offset a must be finite, got {self.a}")
         if not 0 < self.sigma_v2 < np.inf:
             raise ValueError(f"innovation variance must be positive and finite, got {self.sigma_v2}")
+        if not np.isfinite(stationary_power(self)):
+            raise ValueError(f"stationary input power (1 + a^2) sigma_v2 / (1 - alpha^2) "
+                             f"must be finite, got {self}")
 
 
 InputProcess = Union[WhiteGaussian, AR1GaussianMixture]
@@ -154,7 +157,7 @@ def stationary_power(process: InputProcess) -> float:
     if isinstance(process, WhiteGaussian):
         return process.variance
     if isinstance(process, AR1GaussianMixture):
-        return (1.0 + process.a**2) * process.sigma_v2 / (1.0 - process.alpha**2)
+        return (1.0 + process.a * process.a) * process.sigma_v2 / (1.0 - process.alpha**2)
     raise TypeError(f"unknown input process {process!r}")
 
 

@@ -251,7 +251,10 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
     approximation and the current attractor product), the closed-form solve,
     smoothing/clamping, and finally the model propagation with the
     parameters that the filter will actually use.  ``beta_s``, when given,
-    is the attractor product at ``state.w`` (shared with ``step``).
+    is the attractor product at ``state.w`` (shared with ``step``).  The
+    weight-error estimate of :func:`one_step_plant_estimate` is ``c u`` with
+    ``c = -(r1/g) e``, so :func:`compute_instantaneous_moments` reduces to
+    three dot products: ``h = b.b``, ``ell = (c u.u) (u.b)``, ``r2 = c (u.b)``.
     """
     zeta_hat = estimate_emse(vp, e_n)
     # Re-base the model MSD on the current estimate so the floor written by
@@ -261,68 +264,64 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
     vp.xi_model = zeta_hat / vp.sigma_u2
     g = compute_g(vp, zeta_hat)
     r1 = compute_r1(zeta_hat)
-    _, w_tilde_hat = one_step_plant_estimate(state.w, e_n, u_n, r1, g)
+    if not g > 0:
+        raise ModelError(f"normalization moment must be positive, got g={g}")
+    c = -(r1 / g) * e_n
     if cfg.mode is None:
         beta_s = np.zeros(vp.L)
     elif beta_s is None:
         beta_s = attractor_term(state.w, cfg.partition, cfg.mode)
-    h, ell, r2 = compute_instantaneous_moments(w_tilde_hat, u_n, beta_s)
-    m = MomentEstimates(g=g, h=h, ell=ell, r1=r1, r2=r2)
+    h, ub = float(np.dot(beta_s, beta_s)), float(np.dot(u_n, beta_s))
+    ell = (c * float(np.dot(u_n, u_n))) * ub
+    m = MomentEstimates(g=g, h=h, ell=ell, r1=r1, r2=c * ub)
     mu_star, rho_star = solve_optimal_params(m)
     mu_n, rho_n = smooth_and_clamp(vp, mu_star, rho_star)
     propagate_model_msd(vp, m, mu_n, rho_n)
     return mu_n, rho_n
 
 
-def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, diverged_at):
-    """:func:`vp_iteration` on every row; returns one ``(2, V, R)`` array,
-    mu and then rho, so ``mu, rho = _vp_rows_iteration(...)`` unpacks it
-    and the block engine stores both with one assignment.
+def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, diverged_at, out):
+    """:func:`vp_iteration` on every row; writes mu and then rho into the
+    contiguous ``(2, V, R)`` array ``out`` and returns it.
 
     ``vps`` holds one :class:`VpState` per row, row-major over ``(V, R)``
     (algorithms x runs), and each is advanced in place.  ``u`` is ``(R, L)``,
     ``e`` ``(V, R)``, ``beta_s`` ``(V, R, L)`` (zero rows for plain-LMS
-    algorithms).  The dot products are batched; the rest runs row by row on
-    Python floats, each line repeating the scalar chain's floating-point
-    operations in order, so every row's outputs and whole state are
-    bit-identical to a :func:`vp_iteration` call on it.  ``L``, ``sigma_z2``
-    and ``sigma_u2`` are read once from the first row: the engine builds
-    every row from one config.  ``max(a, b)`` is spelled ``b if b > a else
-    a`` and ``min(a, b)`` ``b if b < a else a``: the builtins' results, signed
-    zeros and NaNs included, without their call cost.  ``diverged_at`` is
-    ``(V, R)``: the iteration at which each row diverged, or -1.  Only rows
-    still at -1 (indexed by the length of an output list) can raise
-    :class:`ModelError`; a diverged row steps on without raising.
+    algorithms).  The three dot products are batched (``u.u`` once per run);
+    then one loop runs each row's chain on Python floats, each line repeating
+    the scalar chain's floating-point operations in order, so every row's
+    outputs and whole state are bit-identical to a :func:`vp_iteration`
+    call on it.  ``L``, ``sigma_z2`` and ``sigma_u2`` are read once from the
+    first row: the engine builds every row from one config.  ``max(a, b)``
+    is spelled ``b if b > a else a`` and ``min(a, b)`` ``b if b < a else a``:
+    the builtins' results, signed zeros and NaNs included, without their call
+    cost.  ``diverged_at`` is ``(V, R)``: the iteration at which each row
+    diverged, or -1.  Only rows still at -1 can raise :class:`ModelError`.
     """
     L, sigma_z2, sigma_u2 = vps[0].L, vps[0].sigma_z2, vps[0].sigma_u2
     g0, g1 = sigma_z2 * sigma_u2 * L, (2.0 + L) * sigma_u2  # g = g0 + g1 * zeta
-    zetas, gs, cs = [], [], []
-    # estimate_emse, compute_g, compute_r1 (r1 = zeta), one_step_plant_estimate
-    for vp, e_k in zip(vps, e.ravel().tolist()):
+    hs = np.vecdot(beta_s, beta_s).ravel().tolist()
+    ubs = np.vecdot(u, beta_s).ravel().tolist()
+    uus = np.vecdot(u, u).tolist() * len(e)
+    mus, rhos = [], []
+    for k, (vp, e_k, h, ub, uu) in enumerate(zip(vps, e.ravel().tolist(), hs, ubs, uus)):
+        # estimate_emse, compute_g, compute_r1 (r1 = zeta)
         s = vp.e_smooth = (1.0 - vp.gamma) * e_k + vp.gamma * vp.e_smooth
-        zeta, z_min = s * s - sigma_z2, vp.zeta_min
-        zeta = z_min if z_min > zeta else zeta
-        g = g0 + g1 * zeta
+        r1, z_min = s * s - sigma_z2, vp.zeta_min
+        r1 = z_min if z_min > r1 else r1
+        g = g0 + g1 * r1
         if not g > 0:
-            if diverged_at.flat[len(gs)] < 0:
+            if diverged_at.flat[k] < 0:
                 raise ModelError(f"normalization moment must be positive, got g={g}")
             g = math.nan  # a diverged row: keep Python from raising on x / 0.0
-        zetas.append(zeta)
-        gs.append(g)
-        cs.append(-(zeta / g) * e_k)
-    # compute_instantaneous_moments
-    w_tilde_hat = np.array(cs).reshape(e.shape + (1,)) * u
-    hs = np.vecdot(beta_s, beta_s).ravel().tolist()
-    wus = np.vecdot(w_tilde_hat, u).ravel().tolist()
-    ubs = np.vecdot(u, beta_s).ravel().tolist()
-    r2s = np.vecdot(beta_s, w_tilde_hat).ravel().tolist()
-    mus, rhos = [], []
-    for vp, r1, g, h, wu, ub, r2 in zip(vps, zetas, gs, hs, wus, ubs, r2s):
-        ell = wu * ub
+        # the moments, with the weight-error estimate c u
+        c = -(r1 / g) * e_k
+        ell = (c * uu) * ub
+        r2 = c * ub
         # solve_optimal_params.  A non-finite g, h or ell makes det non-finite,
         # so the cheap test only passes when every moment is finite.
         det = g * h - ell * ell
-        if (not math.isfinite(det + r2) and diverged_at.flat[len(mus)] < 0
+        if (not math.isfinite(det + r2) and diverged_at.flat[k] < 0
                 and not all(map(math.isfinite, (g, h, ell, r1, r2)))):
             m = MomentEstimates(g=g, h=h, ell=ell, r1=r1, r2=r2)
             raise ModelError(f"non-finite moment estimates: {m}")
@@ -347,4 +346,5 @@ def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, diverged_at):
         vp.zeta_min = sigma_u2 * xi
         mus.append(mu_n)
         rhos.append(rho_n)
-    return np.array((mus, rhos)).reshape((2,) + e.shape)
+    out.reshape(-1)[:] = mus + rhos
+    return out

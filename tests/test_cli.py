@@ -98,6 +98,10 @@ _AR1 = "input = ar1-mixture\n"
         (_vp_config(_AR1 + "ar_a = nan\n"), "mixture offset a must be finite, got nan"),
         (_vp_config(_AR1 + "ar_sigma_v2 = inf\n"),
          "innovation variance must be positive and finite, got inf"),
+        # finite parameters whose stationary power (1 + a^2) sigma_v2 / (1 - alpha^2)
+        # overflows
+        (_vp_config(_AR1 + "ar_a = 1e200\n"),
+         "stationary input power (1 + a^2) sigma_v2 / (1 - alpha^2) must be finite"),
         (_vp_config("noise_variance = inf\n"), "noise variance must be finite, got inf"),
         # fixed parameters that would only run into a NaN curve
         (_fixed_config("mu = nan\n"),
@@ -119,7 +123,8 @@ _AR1 = "input = ar1-mixture\n"
     ],
     ids=["negative-master-seed", "no-algorithm-section", "zero-input-variance",
          "negative-input-variance", "nan-input-variance", "inf-input-variance",
-         "ar-alpha-above-one", "inf-ar-a", "nan-ar-a", "inf-ar-sigma-v2", "inf-noise-variance",
+         "ar-alpha-above-one", "inf-ar-a", "nan-ar-a", "inf-ar-sigma-v2", "overflowing-ar-power",
+         "inf-noise-variance",
          "nan-fixed-mu", "inf-fixed-mu", "nan-fixed-rho", "rho-on-fixed-lms", "tiny-epsilon",
          "inf-epsilon"],
 )

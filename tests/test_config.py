@@ -87,6 +87,19 @@ def test_algorithm_spec_validation():
     AlgorithmSpec(name="x", mode="gza", mu=0.01, rho=0.5)
 
 
+def test_algorithm_spec_rejects_the_other_kinds_fields():
+    """A field the row's kind never uses would be dropped by
+    ``serialize_config`` yet change ``config_hash``, so it is rejected."""
+    with pytest.raises(ConfigError, match="fixed mu/rho do not apply"):
+        AlgorithmSpec(name="v", mode="gza", variable=True, mu=0.5, rho=3.0)
+    for bad in (dict(gamma=0.9), dict(gamma_prime=0.5), dict(mu_max=0.01)):
+        with pytest.raises(ConfigError, match="smoothing keys apply only"):
+            AlgorithmSpec(name="f", mode="gza", mu=0.01, rho=1e-4, **bad)
+    spec = AlgorithmSpec(name="v", mode="gza", variable=True, gamma=0.9, mu_max=0.01)
+    cfg = ExperimentConfig(algorithms=(spec, AlgorithmSpec(name="f", mu=0.01)))
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
 def test_sigma_u2_property():
     assert ExperimentConfig(input=WhiteGaussian(2.0)).sigma_u2 == 2.0
     assert ExperimentConfig(input=AR1GaussianMixture()).sigma_u2 == pytest.approx(4.0 / 3.0)

@@ -467,9 +467,9 @@ def test_block_raises_the_scalar_model_error(changes, monkeypatch):
     rows_iteration = gslms.harness._vp_rows_iteration
     calls = []
 
-    def recorded(vps, u, e, beta_s, diverged_at):
+    def recorded(vps, u, e, beta_s, diverged_at, out):
         calls.append(copy.deepcopy((vps, u, e, beta_s)))
-        return rows_iteration(vps, u, e, beta_s, diverged_at)
+        return rows_iteration(vps, u, e, beta_s, diverged_at, out)
 
     monkeypatch.setattr(gslms.harness, "_vp_rows_iteration", recorded)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -478,9 +478,10 @@ def test_block_raises_the_scalar_model_error(changes, monkeypatch):
         with pytest.raises(gslms.varparam.ModelError) as block:
             gslms.harness._advance_block(cfg, 0, 1)
         with pytest.raises(gslms.varparam.ModelError) as rows:
-            rows_iteration(*copy.deepcopy(calls[-1]), np.full((1, 1), -1))
+            rows_iteration(*copy.deepcopy(calls[-1]), np.full((1, 1), -1), np.empty((2, 1, 1)))
         # marked diverged: any iteration >= 0, 0 included
-        marked = [rows_iteration(*copy.deepcopy(calls[-1]), np.full((1, 1), it))
+        marked = [rows_iteration(*copy.deepcopy(calls[-1]), np.full((1, 1), it),
+                                 np.empty((2, 1, 1)))
                   for it in (0, 1)]
     assert str(block.value) == str(rows.value) == str(scalar.value)
     assert [mu_rho.shape for mu_rho in marked] == [(2, 1, 1)] * 2
@@ -563,12 +564,32 @@ def test_vp_rows_state_matches_scalar_fold(rows, runs, seed):
     rng = np.random.default_rng(seed)
     for _ in range(40):
         u, e, beta_s = _random_vp_step(rng, [mode for mode, *_ in rows], runs, L)
-        mu, rho = gslms.varparam._vp_rows_iteration(vps, u, e, beta_s, diverged_at)
+        mu, rho = gslms.varparam._vp_rows_iteration(vps, u, e, beta_s, diverged_at,
+                                                    np.empty((2,) + e.shape))
         for k, (vp, ref) in enumerate(zip(vps, refs)):
             a, r = divmod(k, runs)
             scalar = vp_iteration(ref, state, fcfgs[a], u[r], float(e[a, r]), beta_s[a, r])
             assert (mu[a, r], rho[a, r]) == scalar
             assert asdict(vp) == asdict(ref)
+
+
+@pytest.mark.parametrize("modes, runs", [(["gza"], 1), ([None, "grza"], 2), (["gza"] * 4, 20)])
+def test_vp_rows_step_makes_three_dot_calls(modes, runs, monkeypatch):
+    """One ``_vp_rows_iteration`` step batches its dot products into three
+    ``np.vecdot`` calls, whatever the number of rows."""
+    L = 35
+    vps = [VpState.for_filter(L, 0.01, 1.0) for _ in modes for _ in range(runs)]
+    u, e, beta_s = _random_vp_step(np.random.default_rng(3), modes, runs, L)
+    vecdot, calls = np.vecdot, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return vecdot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "vecdot", counted)
+    gslms.varparam._vp_rows_iteration(vps, u, e, beta_s, np.full(e.shape, -1),
+                                      np.empty((2,) + e.shape))
+    assert len(calls) == 3
 
 
 def test_block_leaves_a_diverged_vp_row_dead(monkeypatch):
@@ -583,9 +604,9 @@ def test_block_leaves_a_diverged_vp_row_dead(monkeypatch):
     def block(spike):
         seen = []
 
-        def traced(vps, u, e, beta_s, diverged_at):
+        def traced(vps, u, e, beta_s, diverged_at, out):
             seen.append([asdict(vp) for vp in vps])
-            mu_rho = rows_iteration(vps, u, e, beta_s, diverged_at)
+            mu_rho = rows_iteration(vps, u, e, beta_s, diverged_at, out)
             if spike and len(seen) == 20:
                 mu_rho[0, 1, 1] = np.inf  # mu of (vp-grza, run 1): diverges at iteration 19
             return mu_rho

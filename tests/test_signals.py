@@ -106,6 +106,15 @@ def test_ar1_mixture_rejects_unstable_alpha():
         AR1GaussianMixture(sigma_v2=0.0)
 
 
+def test_ar1_mixture_rejects_a_non_finite_stationary_power():
+    # (1 + a^2) overflows here, though a itself is finite
+    with pytest.raises(ValueError, match="stationary input power"):
+        AR1GaussianMixture(a=1e200)
+    with pytest.raises(ValueError, match="stationary input power"):
+        AR1GaussianMixture(a=1e100, sigma_v2=1e200)
+    assert np.isfinite(stationary_power(AR1GaussianMixture(a=1e150)))
+
+
 # SHA-256 of gen_ar1_mixture(3000, 0.5, 1.5, 4/13, seed) as computed by
 # scipy.signal.lfilter([1], [1, -alpha], v), before the plain recursion
 # replaced it.  The recursion must reproduce those bits exactly.

@@ -205,6 +205,20 @@ def test_instantaneous_moments_h_is_squared_norm():
         assert h >= 0.0
 
 
+def test_instantaneous_moments_on_a_scaled_input_reduce_to_three_dots():
+    """The weight-error estimate is ``c u``, so the moments that
+    ``vp_iteration`` and the block engine compute from three dot products
+    match the helper's."""
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        c = rng.normal() * 10.0 ** rng.uniform(-6.0, 2.0)
+        u, bs = rng.normal(size=35), 0.01 * rng.normal(size=35)
+        h, ell, r2 = compute_instantaneous_moments(c * u, u, bs)
+        ub = np.dot(u, bs)
+        assert_allclose((h, ell, r2), (np.dot(bs, bs), c * np.dot(u, u) * ub, c * ub),
+                        rtol=1e-14)
+
+
 def test_instantaneous_moments_shape_mismatch():
     with pytest.raises(ValueError):
         compute_instantaneous_moments(np.zeros(3), np.zeros(3), np.zeros(4))
