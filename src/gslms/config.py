@@ -18,6 +18,7 @@ from .groups import GRZA, GZA, _usable_epsilon
 from .signals import (
     AR1GaussianMixture, InputProcess, WhiteGaussian, benchmark_schedule, stationary_power,
 )
+from .varparam import default_mu_max
 
 __all__ = [
     "ConfigError",
@@ -112,6 +113,18 @@ class ExperimentConfig:
         names = [a.name for a in self.algorithms]
         if len(set(names)) != len(names):
             raise ConfigError("algorithm names must be unique")
+        variable = [a for a in self.algorithms if a.variable]
+        if variable:
+            # The VP model's moment g = g0 + g1 zeta (varparam.compute_g) and
+            # the default step-size cap must be usable for every run.
+            su2 = self.sigma_u2
+            g0, g1 = self.sigma_z2 * su2 * L, (2.0 + L) * su2
+            if not (math.isfinite(g0) and math.isfinite(g1)):
+                raise ConfigError(f"input power {su2} and noise variance {self.sigma_z2} "
+                                  f"overflow the variable-parameter model (g0={g0}, g1={g1})")
+            if any(a.mu_max is None for a in variable) and not default_mu_max(su2, L) > 0:
+                raise ConfigError(f"input power {su2} makes the default mu_max = 2/(3 sigma_u2 L) "
+                                  f"zero; set mu_max")
 
     @property
     def sigma_u2(self) -> float:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import AttractorMode, GroupPartition, attractor_term
+from .groups import AttractorMode, GroupPartition, attractor_term, row_dot
 
 __all__ = [
     "DivergenceError",
@@ -80,7 +80,7 @@ def predict(state: FilterState, u: np.ndarray) -> float:
     """Filter output ``w^T u`` for the current weights."""
     if u.shape != state.w.shape:
         raise ValueError(f"regressor shape {u.shape} != weight shape {state.w.shape}")
-    return float(np.dot(state.w, u))
+    return float(row_dot(state.w, u))
 
 
 def step(
@@ -105,8 +105,7 @@ def step(
         raise ValueError(f"regressor length {u.shape[0]} != filter length {cfg.L}")
     if mu_n < 0 or rho_n < 0:
         raise ValueError("per-step mu and rho must be non-negative")
-    e = np.dot(state.w, u)
-    e = d - e
+    e = d - predict(state, u)
     w_next = state.w + (mu_n * e) * u
     if rho_n != 0.0 and cfg.mode is not None:
         if beta_s is None:

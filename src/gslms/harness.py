@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, groups
 from .config import AlgorithmSpec, ExperimentConfig, config_hash, serialize_config
-from .groups import GRZA, GZA, GroupPartition
+from .groups import GRZA, GZA, GroupPartition, row_dot
 from .signals import PlantSchedule, benchmark_schedule, scalar_stream, simulate_plant
 from .varparam import VpState, _vp_rows_iteration
 
@@ -107,8 +107,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     order x runs x taps), and each time step is one set of numpy operations
     over the whole stack.  Row ``(a, r)`` is bit-identical to folding
     ``filters.step`` (and ``varparam.vp_iteration``) over run ``first + r``
-    alone: every row dot product is a ``vecdot``, which is ``np.dot`` on each
-    row.
+    alone.
 
     The step's mu and rho are the two rows of one ``(2, A, R)`` array, and
     every value a step averages waits in one ``(CHUNK_STEPS, A + 2V, R)``
@@ -120,76 +119,77 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     ``(A, R)`` 0-based iteration of the first update after which each row's
     squared deviation is not finite, or -1.  Such a row has diverged: it steps
     on with non-finite values, which :func:`_run_block` leaves out of the sums,
-    and no other row changes.  The step loop runs under one ``np.errstate``
-    that hides the warnings it raises; ``diverged_at`` records it instead.
+    and no other row changes.  The signal set-up and the step loop run under
+    one ``np.errstate`` that hides the warnings they raise: ``diverged_at``
+    records a divergence instead, and an input power that overflows is inf.
     """
     schedule = experiment_schedule(cfg)
     L, N, A, R = schedule.L, cfg.iterations, len(cfg.algorithms), count
     partition = GroupPartition.contiguous(L, cfg.group_size)
-    # Row r of ``xr`` is run r's ``SignalStream.x_rev``, so the tapped-delay
-    # regressors of sample i are the windows xr[:, N-1-i:][:, :L].
-    xr = np.empty((R, N + L - 1))
-    d = np.empty((N, R))
-    powers = []
-    for k, run in enumerate(range(first, first + count)):
-        x = scalar_stream(cfg.input, N, [cfg.master_seed, run, 0])
-        stream = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, run, 1])
-        d[:, k], xr[k] = stream.d, stream.x_rev
-        powers.append(float(np.mean(x * x)) if x.size else 0.0)
-
-    specs = _row_specs(cfg)
-    ranks = [_ROW_RANK[s.variable, s.mode] for s in specs]
-    variable = _rank_slice(ranks, 1, 3)
-    V = len(specs[variable])
-
-    vps = [VpState.for_filter(L, cfg.sigma_z2, cfg.sigma_u2, s.gamma, s.gamma_prime, s.mu_max)
-           for s in specs[variable] for _ in range(R)]
-    # One attractor evaluation per step over the attractor rows, GRZA rows
-    # (``grza``, relative to ``attract``) reweighted.  A fixed row with
-    # rho = 0 gets one too: its weights are never -0.0, so subtracting
-    # 0 * beta_s leaves them bit for bit as an update without the term would.
-    attract = _rank_slice(ranks, 2, 5)
-    grza = _rank_slice(ranks, 3, 4)
-    grza = slice(grza.start - attract.start, grza.stop - attract.start)
-    attracting = attract.stop > attract.start
-    mu_rho = np.repeat(np.array([[[s.mu] for s in specs],
-                                 [[s.rho] for s in specs]]), R, axis=2)
-    # Plain-LMS rows keep a zero attractor, so ``rho * beta_s`` is zero there.
-    beta_s = np.zeros((A, R, L))
-    w = np.zeros((A, R, L))
-    diverged_at = np.full((A, R), -1)
-    # ``w``, ``beta_s``, ``mu_rho`` and ``diverged_at`` are only written in
-    # place, so views of them taken once stay valid.
-    mu, rho_col = mu_rho[0], mu_rho[1][..., None]
-    mu_rho_variable = mu_rho[:, variable]
-    w_attract, beta_s_attract = w[attract], beta_s[attract]
-    beta_s_variable, diverged_variable = beta_s[variable], diverged_at[variable]
-    counted = np.ones((A, R), dtype=bool) if dropped is None else ~dropped
-    counted = np.concatenate((counted, counted[variable], counted[variable]))
-
-    # A step's averaged values, the A MSDs and then the V mu and V rho rows,
-    # wait in one buffer of CHUNK_STEPS steps; then each run's column is
-    # added to the sums in run order.  An uncounted row adds +0.0, which
-    # leaves a sum of non-negative terms unchanged.
-    sums = np.zeros((N, A + 2 * V))
-    buf = np.empty((CHUNK_STEPS, A + 2 * V, R))
-    msd_buf, vp_buf = buf[:, :A], buf[:, A:].reshape(CHUNK_STEPS, 2, V, R)
-
-    def add_chunk(lo, hi):
-        n = hi - lo
-        mu_rows, lam_rows = vp_buf[:n, 0], vp_buf[:n, 1]
-        # lambda = rho / mu in place, and 0 where mu is 0.
-        np.divide(lam_rows, mu_rows, out=lam_rows, where=mu_rows != 0.0)
-        lam_rows[mu_rows == 0.0] = 0.0
-        for r in range(R):
-            sums[lo:hi] += np.where(counted[:, r], buf[:n, :, r], 0.0)
-
     with np.errstate(over="ignore", invalid="ignore"):
+        # Row r of ``xr`` is run r's ``SignalStream.x_rev``, so the tapped-delay
+        # regressors of sample i are the windows xr[:, N-1-i:][:, :L].
+        xr = np.empty((R, N + L - 1))
+        d = np.empty((N, R))
+        powers = []
+        for k, run in enumerate(range(first, first + count)):
+            x = scalar_stream(cfg.input, N, [cfg.master_seed, run, 0])
+            stream = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, run, 1])
+            d[:, k], xr[k] = stream.d, stream.x_rev
+            powers.append(float(np.mean(x * x)) if x.size else 0.0)
+
+        specs = _row_specs(cfg)
+        ranks = [_ROW_RANK[s.variable, s.mode] for s in specs]
+        variable = _rank_slice(ranks, 1, 3)
+        V = len(specs[variable])
+
+        vps = [VpState.for_filter(L, cfg.sigma_z2, cfg.sigma_u2, s.gamma, s.gamma_prime, s.mu_max)
+               for s in specs[variable] for _ in range(R)]
+        # One attractor evaluation per step over the attractor rows, GRZA rows
+        # (``grza``, relative to ``attract``) reweighted.  A fixed row with
+        # rho = 0 gets one too: its weights are never -0.0, so subtracting
+        # 0 * beta_s leaves them bit for bit as an update without the term would.
+        attract = _rank_slice(ranks, 2, 5)
+        grza = _rank_slice(ranks, 3, 4)
+        grza = slice(grza.start - attract.start, grza.stop - attract.start)
+        attracting = attract.stop > attract.start
+        mu_rho = np.repeat(np.array([[[s.mu] for s in specs],
+                                     [[s.rho] for s in specs]]), R, axis=2)
+        # Plain-LMS rows keep a zero attractor, so ``rho * beta_s`` is zero there.
+        beta_s = np.zeros((A, R, L))
+        w = np.zeros((A, R, L))
+        diverged_at = np.full((A, R), -1)
+        # ``w``, ``beta_s``, ``mu_rho`` and ``diverged_at`` are only written in
+        # place, so views of them taken once stay valid.
+        mu, rho_col = mu_rho[0], mu_rho[1][..., None]
+        mu_rho_variable = mu_rho[:, variable]
+        w_attract, beta_s_attract = w[attract], beta_s[attract]
+        beta_s_variable, diverged_variable = beta_s[variable], diverged_at[variable]
+        counted = np.ones((A, R), dtype=bool) if dropped is None else ~dropped
+        counted = np.concatenate((counted, counted[variable], counted[variable]))
+
+        # A step's averaged values, the A MSDs and then the V mu and V rho rows,
+        # wait in one buffer of CHUNK_STEPS steps; then each run's column is
+        # added to the sums in run order.  An uncounted row adds +0.0, which
+        # leaves a sum of non-negative terms unchanged.
+        sums = np.zeros((N, A + 2 * V))
+        buf = np.empty((CHUNK_STEPS, A + 2 * V, R))
+        msd_buf, vp_buf = buf[:, :A], buf[:, A:].reshape(CHUNK_STEPS, 2, V, R)
+
+        def add_chunk(lo, hi):
+            n = hi - lo
+            mu_rows, lam_rows = vp_buf[:n, 0], vp_buf[:n, 1]
+            # lambda = rho / mu in place, and 0 where mu is 0.
+            np.divide(lam_rows, mu_rows, out=lam_rows, where=mu_rows != 0.0)
+            lam_rows[mu_rows == 0.0] = 0.0
+            for r in range(R):
+                sums[lo:hi] += np.where(counted[:, r], buf[:n, :, r], 0.0)
+
         for (lo, hi), (_, w_star) in zip(schedule.stage_bounds(), schedule.segments):
             for i in range(lo, hi):
                 j = i % CHUNK_STEPS
                 u = xr[:, N - 1 - i:N - 1 - i + L]
-                e = d[i] - np.vecdot(w, u)
+                e = d[i] - row_dot(w, u)
                 if attracting:
                     # Looked up on ``groups`` so a wrapper there (a call-count
                     # test's, a benchmark span) sees every evaluation.
@@ -203,7 +203,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
                 if attracting:
                     w -= rho_col * beta_s
                 diff = w - w_star
-                msd = np.vecdot(diff, diff, out=msd_buf[j])
+                msd = row_dot(diff, diff, out=msd_buf[j])
                 # MSDs are non-negative, so one non-finite row makes the total
                 # non-finite: a finite total clears every row without the
                 # per-row test.
@@ -236,7 +236,9 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
     The runs are split into blocks (:func:`_blocks`) whose row sums are
     added in block order, so the result does not depend on ``workers``.  A
     diverged run is dropped from that algorithm's average and recorded with
-    the iteration it failed at; the other algorithms keep the run.
+    the iteration it failed at; the other algorithms keep the run.  The
+    metadata's ``measured_input_power`` is None where the mean power is not
+    finite.
     """
     if not cfg.algorithms:
         raise ValueError("experiment config lists no algorithms")
@@ -268,6 +270,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
 
     digest = config_hash(cfg)
     measured_power = power_sum / cfg.runs
+    if not math.isfinite(measured_power):
+        measured_power = None  # JSON has no inf: written as null
     curves = []
     for spec in cfg.algorithms:
         a = specs.index(spec)

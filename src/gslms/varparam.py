@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import attractor_term
+from .groups import attractor_term, row_dot
 
 __all__ = [
     "DET_TOL",
@@ -176,9 +176,9 @@ def compute_instantaneous_moments(
         raise ValueError(
             f"shape mismatch: {w_tilde_hat.shape}, {u_n.shape}, {beta_s.shape}"
         )
-    h = np.dot(beta_s, beta_s)
-    ell = np.dot(w_tilde_hat, u_n) * np.dot(u_n, beta_s)
-    r2 = np.dot(beta_s, w_tilde_hat)
+    h = row_dot(beta_s, beta_s)
+    ell = row_dot(w_tilde_hat, u_n) * row_dot(u_n, beta_s)
+    r2 = row_dot(beta_s, w_tilde_hat)
     return float(h), float(ell), float(r2)
 
 
@@ -271,8 +271,8 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
         beta_s = np.zeros(vp.L)
     elif beta_s is None:
         beta_s = attractor_term(state.w, cfg.partition, cfg.mode)
-    h, ub = float(np.dot(beta_s, beta_s)), float(np.dot(u_n, beta_s))
-    ell = (c * float(np.dot(u_n, u_n))) * ub
+    h, ub = float(row_dot(beta_s, beta_s)), float(row_dot(u_n, beta_s))
+    ell = (c * float(row_dot(u_n, u_n))) * ub
     m = MomentEstimates(g=g, h=h, ell=ell, r1=r1, r2=c * ub)
     mu_star, rho_star = solve_optimal_params(m)
     mu_n, rho_n = smooth_and_clamp(vp, mu_star, rho_star)
@@ -300,9 +300,9 @@ def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, diverged_at, out):
     """
     L, sigma_z2, sigma_u2 = vps[0].L, vps[0].sigma_z2, vps[0].sigma_u2
     g0, g1 = sigma_z2 * sigma_u2 * L, (2.0 + L) * sigma_u2  # g = g0 + g1 * zeta
-    hs = np.vecdot(beta_s, beta_s).ravel().tolist()
-    ubs = np.vecdot(u, beta_s).ravel().tolist()
-    uus = np.vecdot(u, u).tolist() * len(e)
+    hs = row_dot(beta_s, beta_s).ravel().tolist()
+    ubs = row_dot(u, beta_s).ravel().tolist()
+    uus = row_dot(u, u).tolist() * len(e)
     mus, rhos = [], []
     for k, (vp, e_k, h, ub, uu) in enumerate(zip(vps, e.ravel().tolist(), hs, ubs, uus)):
         # estimate_emse, compute_g, compute_r1 (r1 = zeta)

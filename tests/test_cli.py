@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -103,6 +104,13 @@ _AR1 = "input = ar1-mixture\n"
         (_vp_config(_AR1 + "ar_a = 1e200\n"),
          "stationary input power (1 + a^2) sigma_v2 / (1 - alpha^2) must be finite"),
         (_vp_config("noise_variance = inf\n"), "noise variance must be finite, got inf"),
+        # values whose VP model terms g0 = sigma_z2 sigma_u2 L and
+        # g1 = (2 + L) sigma_u2, or default mu_max = 2 / (3 sigma_u2 L), overflow
+        (_vp_config("input_variance = 1e308\n"),
+         "overflow the variable-parameter model (g0=3.5e+307, g1=inf)"),
+        (_vp_config("noise_variance = 1e308\n"),
+         "overflow the variable-parameter model (g0=inf, g1=37.0)"),
+        (_vp_config("input_variance = 3e306\n"), "makes the default mu_max = 2/(3 sigma_u2 L) zero"),
         # fixed parameters that would only run into a NaN curve
         (_fixed_config("mu = nan\n"),
          "fixed mu and rho must be finite and nonnegative, got mu=nan, rho=0.0"),
@@ -124,7 +132,8 @@ _AR1 = "input = ar1-mixture\n"
     ids=["negative-master-seed", "no-algorithm-section", "zero-input-variance",
          "negative-input-variance", "nan-input-variance", "inf-input-variance",
          "ar-alpha-above-one", "inf-ar-a", "nan-ar-a", "inf-ar-sigma-v2", "overflowing-ar-power",
-         "inf-noise-variance",
+         "inf-noise-variance", "overflowing-model-g1", "overflowing-model-g0",
+         "zero-default-mu-max",
          "nan-fixed-mu", "inf-fixed-mu", "nan-fixed-rho", "rho-on-fixed-lms", "tiny-epsilon",
          "inf-epsilon"],
 )
@@ -161,6 +170,65 @@ def test_model_error_exits_1_with_one_line(tmp_path, capsys, experiment, message
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+_BOUNDARY_VALUES = ("0", "-1", "1e-320", "1e-150", "1e150", "1e308", "inf", "nan")
+_FIXED_ROW = "[algorithm:gza]\nmode = gza\nmu = 0.02\nrho = 2e-4\n"
+_GRID_ROWS = _FIXED_ROW + "\n[algorithm:vp-grza]\nmode = grza\nvariable = true\n"
+# (id, [experiment] lines, algorithm sections): one key set per case
+_BOUNDARY_CASES = (
+    [(f"{key}={value}", f"{key} = {value}\n", _GRID_ROWS)
+     for key in ("input_variance", "noise_variance", "epsilon") for value in _BOUNDARY_VALUES]
+    + [(f"{key}={value}", f"{_AR1}{key} = {value}\n", _GRID_ROWS)
+       for key in ("ar_alpha", "ar_a", "ar_sigma_v2")
+       for value in _BOUNDARY_VALUES + ("0.999999",)]
+    + [("fixed-only-input_variance=1e308", "input_variance = 1e308\n", _FIXED_ROW)]
+)
+
+
+def _reject_constant(name):
+    raise ValueError(f"manifest.json holds {name}, which is not JSON")
+
+
+def _run_boundary_case(tmp_path, experiment, algorithms):
+    """``gslms run`` on the case with numpy warnings raised as errors;
+    returns its exit code, its output directory and, on exit 0, its
+    manifest, which must parse as strict JSON (else None)."""
+    path = tmp_path / "edge.ini"
+    path.write_text(f"[experiment]\n{experiment}\n{algorithms}")
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["run", str(path), "--runs", "2", "--iterations", "300",
+                   "--output-dir", str(out_dir)])
+    manifest = None
+    if rc == 0:
+        with open(out_dir / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh, parse_constant=_reject_constant)
+    return rc, out_dir, manifest
+
+
+@pytest.mark.parametrize("experiment, algorithms", [case[1:] for case in _BOUNDARY_CASES],
+                         ids=[case[0] for case in _BOUNDARY_CASES])
+def test_boundary_values_run_or_are_rejected_before_any_work(tmp_path, experiment, algorithms):
+    """Each input or noise key at a boundary value (with a fixed and a VP row)
+    runs, is rejected before any work, or fails validation: exit 0, 2 or 1,
+    no exception and no numpy ``RuntimeWarning``; exit 2 leaves no output
+    directory, and exit 0 a ``manifest.json`` that parses as strict JSON."""
+    rc, out_dir, _ = _run_boundary_case(tmp_path, experiment, algorithms)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert not out_dir.exists()
+
+
+def test_overflowing_input_power_is_written_as_null(tmp_path):
+    """``input_variance = 1e308`` with fixed rows only runs: every run
+    diverges, and the manifest writes the runs' infinite input power as
+    null."""
+    rc, _, manifest = _run_boundary_case(tmp_path, "input_variance = 1e308\n", _FIXED_ROW)
+    assert rc == 0
+    assert manifest["measured_input_power"] is None
+    assert manifest["curves"][0]["runs_used"] == 0
 
 
 def test_zero_iterations_run_prints_empty_stage_lines(tmp_path, capsys):

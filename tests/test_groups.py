@@ -23,6 +23,7 @@ from gslms.groups import (
     group_norms,
     l12_norm,
     log_sum_penalty,
+    row_dot,
 )
 
 
@@ -450,3 +451,43 @@ def test_operators_reject_wrong_trailing_length():
         attractor_term(np.float64(1.0), p, AttractorMode(GZA))
     with pytest.raises(ValueError):
         expand_group_vector(np.zeros((2, 3)), p)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def _assert_rows_match_kernel(a, b, out=None):
+    """``row_dot(a, b)`` equals, bit for bit, ``row_dot`` on each broadcast
+    pair of 1-D rows."""
+    got = row_dot(a, b) if out is None else row_dot(a, b, out=out)
+    a, b = np.broadcast_arrays(a, b)
+    rows = [row_dot(a[idx], b[idx]) for idx in np.ndindex(a.shape[:-1])]
+    assert_array_equal(_bits(got), _bits(rows).reshape(a.shape[:-1]))
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=24),
+       st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+def test_row_dot_rows_match_the_kernel_on_each_row(A, R, L, seed):
+    """The one row-dot kernel sums every row of a batched call as it sums
+    that row alone: on an ``(A, R, L)`` stack, on ``(V, R, L)`` slices of
+    it, and on the block engine's regressor windows ``xr[:, N-1-i:][:, :L]``
+    (broadcast over the algorithms, and written through ``out=`` into a
+    step buffer's row as the engine's MSD is)."""
+    rng = np.random.default_rng(seed)
+    w, b = rng.normal(size=(2, A, R, L))
+    _assert_rows_match_kernel(w, b)
+    _assert_rows_match_kernel(w, w)
+    lo = int(rng.integers(0, A))
+    hi = int(rng.integers(lo + 1, A + 1))
+    _assert_rows_match_kernel(w[lo:hi], b[lo:hi])
+    N = 5
+    xr = rng.normal(size=(R, N + L - 1))
+    buf = np.empty((N, A, R))
+    for i in range(N):
+        u = xr[:, N - 1 - i:N - 1 - i + L]
+        _assert_rows_match_kernel(w, u)
+        _assert_rows_match_kernel(u, u)
+        _assert_rows_match_kernel(u, b[lo:hi])
+        _assert_rows_match_kernel(w - b, w - b, out=buf[i])

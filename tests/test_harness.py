@@ -576,17 +576,17 @@ def test_vp_rows_state_matches_scalar_fold(rows, runs, seed):
 @pytest.mark.parametrize("modes, runs", [(["gza"], 1), ([None, "grza"], 2), (["gza"] * 4, 20)])
 def test_vp_rows_step_makes_three_dot_calls(modes, runs, monkeypatch):
     """One ``_vp_rows_iteration`` step batches its dot products into three
-    ``np.vecdot`` calls, whatever the number of rows."""
+    calls of the row-dot kernel, whatever the number of rows."""
     L = 35
     vps = [VpState.for_filter(L, 0.01, 1.0) for _ in modes for _ in range(runs)]
     u, e, beta_s = _random_vp_step(np.random.default_rng(3), modes, runs, L)
-    vecdot, calls = np.vecdot, []
+    row_dot, calls = gslms.varparam.row_dot, []
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return vecdot(*args, **kwargs)
+        return row_dot(*args, **kwargs)
 
-    monkeypatch.setattr(np, "vecdot", counted)
+    monkeypatch.setattr(gslms.varparam, "row_dot", counted)
     gslms.varparam._vp_rows_iteration(vps, u, e, beta_s, np.full(e.shape, -1),
                                       np.empty((2,) + e.shape))
     assert len(calls) == 3
