@@ -7,9 +7,10 @@ free step size to tune, so they define the target: this script measures the
 early MSD slope of the VP curves on a calibration ensemble, finds the fixed
 step size whose slope matches the shallower of the two, and then picks the
 shrinkage for the fixed attractor variants from a log grid by best stage-1
-steady state.  The resulting numbers are frozen into
-``gslms.config`` (_EXP1_BASELINES / _EXP2_BASELINES); re-run this script and
-update them if the engine defaults change.
+steady state.  The resulting numbers are frozen into the built-in
+experiments' INI files, ``src/gslms/configs/exp1.ini`` and ``exp2.ini``
+(the ``mu``/``rho`` keys of their fixed rows); re-run this script and update
+them if the engine defaults change.
 
 Usage: python scripts/calibrate_baselines.py [exp1|exp2 ...]
 """

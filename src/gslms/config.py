@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,14 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
+def _check_line(what: str, value: str, empty: bool = False) -> None:
+    """Reject a value that ``parse_config`` would not read back from the one
+    INI line ``serialize_config`` writes it on (stripped; empty = default)."""
+    if value.strip() != value or len(value.splitlines()) > 1 or not (value or empty):
+        raise ConfigError(f"{what} must be one {'' if empty else 'nonempty '}line "
+                          f"with no surrounding whitespace, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """One algorithm entry: either fixed (mu, rho) or the variable strategy."""
@@ -53,8 +62,11 @@ class AlgorithmSpec:
     def __post_init__(self):
         if self.mode not in (None, GZA, GRZA):
             raise ConfigError(f"unknown algorithm mode {self.mode!r}")
-        if not self.name:
-            raise ConfigError("algorithm name must be nonempty")
+        _check_line("algorithm name", self.name)
+        # The name is its curve file's, in the output directory beside manifest.json.
+        if self.name == "manifest" or set(self.name) & {"/", os.sep, os.altsep}:
+            raise ConfigError(f"algorithm name {self.name!r} cannot name a curve file: "
+                              "it holds a path separator or is 'manifest'")
         # A field the other kind uses would change config_hash, yet
         # serialize_config drops it and the engine never reads it.
         cls = type(self)
@@ -92,6 +104,8 @@ class ExperimentConfig:
     algorithms: tuple[AlgorithmSpec, ...] = ()
 
     def __post_init__(self):
+        _check_line("experiment id", self.experiment)
+        _check_line("output_dir", self.output_dir, empty=True)
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
         if self.iterations < 0:
@@ -280,39 +294,18 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:16]
 
 
-# Fixed-parameter baselines: values produced by scripts/calibrate_baselines.py
-# (slope-matched step size over iterations 50-250 against the variable-
-# parameter curves, shrinkage picked on a log grid for the best stage-1
-# steady state).  Re-run that script to regenerate.
-_EXP1_BASELINES = {"lms_mu": 0.020564374336614125, "gza_mu": 0.020564374336614125,
-                   "gza_rho": 2e-4, "grza_mu": 0.020564374336614125, "grza_rho": 2e-4}
-_EXP2_BASELINES = {"lms_mu": 0.01509680585979406, "gza_mu": 0.01509680585979406,
-                   "gza_rho": 2e-4, "grza_mu": 0.01509680585979406, "grza_rho": 1e-4}
-
 BUILTIN_EXPERIMENTS = ("exp1", "exp2")
 
 
 def builtin_config(name: str) -> ExperimentConfig:
-    """Built-in configs for the two benchmark experiments.
+    """Built-in config of one benchmark experiment, read from its INI file in
+    ``gslms/configs`` (which holds the calibrated fixed-parameter baselines).
 
     exp1: white Gaussian input, unit variance.  exp2: AR(1) input with
     Gaussian-mixture innovations (alpha=1/2, a=3/2, sigma_v2=4/13).  Both run
     100 averaging runs of 24000 iterations over the three-stage plant
     schedule with L=35, groups of 5, epsilon=0.1 and 20 dB SNR.
     """
-    if name == "exp1":
-        input_proc: InputProcess = WhiteGaussian(variance=1.0)
-        b = _EXP1_BASELINES
-    elif name == "exp2":
-        input_proc = AR1GaussianMixture(alpha=0.5, a=1.5, sigma_v2=4.0 / 13.0)
-        b = _EXP2_BASELINES
-    else:
+    if name not in BUILTIN_EXPERIMENTS:
         raise ConfigError(f"no built-in experiment named {name!r}")
-    algorithms = (
-        AlgorithmSpec(name="lms", mode=None, mu=b["lms_mu"]),
-        AlgorithmSpec(name="gza", mode=GZA, mu=b["gza_mu"], rho=b["gza_rho"]),
-        AlgorithmSpec(name="grza", mode=GRZA, mu=b["grza_mu"], rho=b["grza_rho"]),
-        AlgorithmSpec(name="vp-gza", mode=GZA, variable=True),
-        AlgorithmSpec(name="vp-grza", mode=GRZA, variable=True),
-    )
-    return ExperimentConfig(experiment=name, input=input_proc, algorithms=algorithms)
+    return load_config(os.path.join(os.path.dirname(__file__), "configs", f"{name}.ini"))

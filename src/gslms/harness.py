@@ -394,10 +394,13 @@ def _write_csv(path: str, curve: LearningCurve) -> None:
 
 
 def _write_json(path: str, curve: LearningCurve) -> None:
+    """JSON has no NaN or infinity: a column with such values writes each as
+    null."""
     names, cols = _curve_columns(curve)
     payload = {"metadata": curve.metadata}
     for name, col in zip(names, cols):
-        payload[name] = col.tolist()
+        finite = np.isfinite(col)
+        payload[name] = (col if finite.all() else np.where(finite, col, None)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -187,17 +187,18 @@ def benchmark_plants() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w1, w2, w3
 
 
-def benchmark_schedule(
-    switch_iterations: tuple[int, ...] = (1, 8000, 16000),
-    total_iterations: int = 24000,
-) -> PlantSchedule:
-    """Built-in schedule cycling through the three benchmark plants.
+# 1-based iterations at which the benchmark plants take over, in order.
+BENCHMARK_SWITCHES = (1, 8000, 16000)
+
+
+def benchmark_schedule(total_iterations: int = 24000) -> PlantSchedule:
+    """Built-in schedule of the three benchmark plants, switched at
+    :data:`BENCHMARK_SWITCHES`.
 
     Switches past ``max(total_iterations, 1)`` never happen and are dropped.
     """
-    plants = benchmark_plants()
     segments = tuple(
-        (start, plants[k % 3]) for k, start in enumerate(switch_iterations)
+        (start, w) for start, w in zip(BENCHMARK_SWITCHES, benchmark_plants())
         if start <= max(total_iterations, 1)
     )
     return PlantSchedule(segments=segments, total_iterations=total_iterations)

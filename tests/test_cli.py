@@ -83,6 +83,11 @@ def _fixed_config(algorithm):
 _AR1 = "input = ar1-mixture\n"
 
 
+def _named_config(name, experiment=""):
+    return (f"[experiment]\nruns = 1\niterations = 20\n{experiment}\n"
+            f"[algorithm:{name}]\nmode = lms\nmu = 0.01\n")
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -128,6 +133,13 @@ _AR1 = "input = ar1-mixture\n"
         ("[experiment]\nruns = 1\niterations = 50\nepsilon = inf\n\n"
          "[algorithm:grza]\nmode = grza\nmu = 0.01\nrho = 1e-4\n",
          "epsilon must be positive with a finite 1/epsilon, got inf"),
+        # names that would put a curve file outside the output directory,
+        # under a missing subdirectory, or over manifest.json
+        (_named_config("/escaped"), "algorithm name '/escaped' cannot name a curve file"),
+        (_named_config("../up"), "algorithm name '../up' cannot name a curve file"),
+        (_named_config("manifest", "format = json\n"),
+         "algorithm name 'manifest' cannot name a curve file"),
+        (_named_config("a/b"), "algorithm name 'a/b' cannot name a curve file"),
     ],
     ids=["negative-master-seed", "no-algorithm-section", "zero-input-variance",
          "negative-input-variance", "nan-input-variance", "inf-input-variance",
@@ -135,7 +147,7 @@ _AR1 = "input = ar1-mixture\n"
          "inf-noise-variance", "overflowing-model-g1", "overflowing-model-g0",
          "zero-default-mu-max",
          "nan-fixed-mu", "inf-fixed-mu", "nan-fixed-rho", "rho-on-fixed-lms", "tiny-epsilon",
-         "inf-epsilon"],
+         "inf-epsilon", "absolute-name", "parent-dir-name", "manifest-name", "nested-name"],
 )
 def test_unrunnable_config_file_rejected_before_running(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"

@@ -5,11 +5,11 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from gslms.cli import main
 from gslms.config import (
-    _EXP1_BASELINES,
-    _EXP2_BASELINES,
     BUILTIN_EXPERIMENTS,
     AlgorithmSpec,
     ConfigError,
@@ -51,6 +51,13 @@ def test_defaults_are_valid():
         dict(sigma_z2=-0.01),
         dict(format="xml"),
         dict(master_seed=-1),
+        # text that its INI line would not carry back as itself
+        dict(experiment=""),
+        dict(experiment=" exp1 "),
+        dict(experiment="exp\n1"),
+        dict(experiment="exp1\r"),
+        dict(output_dir="out "),
+        dict(output_dir="a\u2028b"),
     ],
 )
 def test_config_rejects_bad_fields(kw):
@@ -65,8 +72,11 @@ def test_config_rejects_duplicate_algorithm_names():
 
 
 def test_algorithm_spec_validation():
-    with pytest.raises(ConfigError):
-        AlgorithmSpec(name="")
+    # a name must come back from its [algorithm:NAME] line and name a curve
+    # file inside the output directory other than manifest.json
+    for name in ("", "a\nb", " lms", "lms ", "x\x85", "a/b", "../up", "/abs", "manifest"):
+        with pytest.raises(ConfigError):
+            AlgorithmSpec(name=name)
     with pytest.raises(ConfigError):
         AlgorithmSpec(name="x", mode="zippy")
     with pytest.raises(ConfigError):
@@ -255,12 +265,52 @@ def test_builtin_config_hash_is_pinned(name, digest):
     assert config_hash(builtin_config(name)) == digest
 
 
-@pytest.mark.parametrize("name", BUILTIN_EXPERIMENTS)
-def test_shipped_ini_matches_builtin(name):
-    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini"
-    cfg = load_config(path)
-    assert cfg == builtin_config(name)
-    assert serialize_config(cfg) == serialize_config(builtin_config(name))
+_TEXT = st.text(max_size=6)
+
+
+@st.composite
+def _algorithm_specs(draw, name):
+    mode = draw(st.sampled_from([None, "gza", "grza"]))
+    if draw(st.booleans()):
+        return AlgorithmSpec(
+            name=name, mode=mode, variable=True,
+            gamma=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            gamma_prime=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            mu_max=draw(st.none() | st.floats(0.0, 10.0, exclude_min=True)),
+        )
+    rho = draw(st.floats(0.0, 1.0)) if mode else 0.0
+    return AlgorithmSpec(name=name, mode=mode, mu=draw(st.floats(0.0, 1.0)), rho=rho)
+
+
+@st.composite
+def _api_configs(draw):
+    """An ``ExperimentConfig`` built through the API from any text and any
+    in-range numbers; a combination the dataclasses refuse is skipped."""
+    try:
+        names = draw(st.lists(_TEXT, max_size=3, unique=True))
+        input_process = draw(st.one_of(
+            st.builds(WhiteGaussian, st.floats(1e-6, 1e6)),
+            st.builds(AR1GaussianMixture, st.floats(-0.99, 0.99), st.floats(-10.0, 10.0),
+                      st.floats(1e-6, 10.0)),
+        ))
+        return ExperimentConfig(
+            experiment=draw(_TEXT), runs=draw(st.integers(1, 10**6)),
+            iterations=draw(st.integers(0, 10**6)), group_size=draw(st.integers(1, 35)),
+            epsilon=draw(st.floats(1e-300, 1e300)), sigma_z2=draw(st.floats(0.0, 1e6)),
+            input=input_process, master_seed=draw(st.integers(0, 2**64)),
+            output_dir=draw(_TEXT), format=draw(st.sampled_from(["csv", "json"])),
+            algorithms=tuple(draw(_algorithm_specs(name)) for name in names),
+        )
+    except ConfigError:
+        reject()
+
+
+@settings(deadline=None, max_examples=60)
+@given(cfg=_api_configs())
+def test_api_config_round_trips_through_its_ini_text(cfg):
+    """Every config the API accepts serialises to text that parses back to
+    it, so the ``config.ini`` a run writes reruns that run."""
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_config_hash_tracks_content():
@@ -319,12 +369,16 @@ def test_builtin_input_processes():
 
 
 def test_calibration_script_reproduces_frozen_baselines(capsys):
-    """scripts/calibrate_baselines.py still derives the frozen fixed-parameter
-    baselines bit for bit (exp2 runs on the AR(1) input)."""
+    """scripts/calibrate_baselines.py still derives the fixed-parameter
+    baselines frozen in the built-in INI files bit for bit (exp2 runs on the
+    AR(1) input)."""
     path = Path(__file__).resolve().parents[1] / "scripts" / "calibrate_baselines.py"
     spec = importlib.util.spec_from_file_location("calibrate_baselines", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.calibrate("exp1") == _EXP1_BASELINES
-    assert script.calibrate("exp2") == _EXP2_BASELINES
+    for name in BUILTIN_EXPERIMENTS:
+        rows = {a.name: a for a in builtin_config(name).algorithms}
+        assert script.calibrate(name) == {
+            "lms_mu": rows["lms"].mu, "gza_mu": rows["gza"].mu, "gza_rho": rows["gza"].rho,
+            "grza_mu": rows["grza"].mu, "grza_rho": rows["grza"].rho}
     capsys.readouterr()

@@ -158,6 +158,21 @@ def test_diverged_runs_are_counted_and_excluded(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert [c["diverged"] for c in manifest["curves"]] == [expected, []]
     assert [c["diverged_runs"] for c in manifest["curves"]] == [2, 0]
+    # JSON has no NaN: the unstable curve's NaNs are written as null, and
+    # every file parses as strict JSON
+    json_dir = tmp_path / "json"
+    emit_curves([unstable, stable], replace(cfg, format="json"), json_dir)
+    files = {path.name: json.loads(path.read_text(), parse_constant=_reject_constant)
+             for path in json_dir.glob("*.json")}
+    assert sorted(files) == ["manifest.json", "stable.json", "unstable.json"]
+    assert files["unstable.json"]["msd_linear"] == [None] * 800
+    assert files["unstable.json"]["msd_db"] == [None] * 800
+    assert files["unstable.json"]["iter"] == list(range(1, 801))
+    assert files["stable.json"]["msd_linear"] == stable.msd.tolist()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 _UNSTABLE = AlgorithmSpec(name="unstable", mu=1.0)
@@ -266,29 +281,13 @@ def test_single_loop_matches_reference_step_fold():
             AlgorithmSpec(name="vp-grza", mode="grza", variable=True),
         ),
     )
-    curves = run_experiment(cfg)
-    schedule = experiment_schedule(cfg)
-    x = scalar_stream(cfg.input, cfg.iterations, [cfg.master_seed, 0, 0])
-    stream = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, 0, 1])
-    target = np.stack([w for _, w in schedule.segments])[stream.plant_index]
-    partition = GroupPartition.contiguous(schedule.L, cfg.group_size)
-    for spec, curve in zip(cfg.algorithms, curves):
-        fcfg = FilterConfig(schedule.L, partition, AttractorMode(spec.mode, cfg.epsilon),
-                            mu=spec.mu, rho=spec.rho, variable_params=spec.variable)
-        vp = VpState.for_filter(schedule.L, cfg.sigma_z2, cfg.sigma_u2)
-        state = initial_state(schedule.L)
-        msd, mus = [], []
-        for u, d, w_star in zip(stream.U, stream.d, target):
-            mu_n, rho_n = fcfg.mu, fcfg.rho
-            if spec.variable:
-                e = d - np.dot(state.w, u)
-                mu_n, rho_n = vp_iteration(vp, state, fcfg, u, float(e))
-                mus.append(mu_n)
-            state = step(state, fcfg, u, d, mu_n, rho_n)
-            msd.append(np.dot(state.w - w_star, state.w - w_star))
+    for spec, curve in zip(cfg.algorithms, run_experiment(cfg)):
+        msd, mus, rhos, diverged = _scalar_fold(cfg, spec, 0)
+        assert diverged is None
         assert_array_equal(curve.msd, msd)
         if spec.variable:
             assert_array_equal(curve.mu_trace, mus)
+            assert_array_equal(curve.lambda_trace, _lambda(mus, rhos))
 
 
 def _scalar_fold(cfg, spec, run):
@@ -667,7 +666,7 @@ def test_stage_windows_cover_stage_tails():
 
 
 def test_stage_windows_clip_to_short_stages():
-    sched = benchmark_schedule((1, 8000), total_iterations=8300)
+    sched = benchmark_schedule(total_iterations=8300)  # switches at 1 and 8000
     assert stage_windows(sched) == [(6999, 7999), (7999, 8300)]
 
 
