@@ -156,8 +156,8 @@ def _cmd_validate(args) -> int:
 def _check_flags(args) -> None:
     """Reject a flag value the command cannot run with, before any work
     starts: a count or seed below its least value, a noise variance,
-    step size or shrinkage that is negative or not finite, or a tolerance
-    that is not finite and positive."""
+    step size or shrinkage that is negative or not finite, a tolerance
+    that is not finite and positive, or a shrinkage for plain LMS."""
     for name, least in (("workers", 1), ("horizon", 1), ("ensemble", 2), ("seed", 0)):
         value = getattr(args, name, None)
         if value is not None and value < least:
@@ -170,6 +170,8 @@ def _check_flags(args) -> None:
     tol = getattr(args, "tol", None)
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ConfigError(f"--tol must be finite and positive, got {tol}")
+    if getattr(args, "mode", None) == "lms" and args.rho:
+        raise ConfigError(f"--mode lms takes no --rho (only gza or grza), got {args.rho}")
 
 
 def main(argv=None) -> int:

@@ -43,6 +43,7 @@ class FilterConfig:
     the uniform or reweighted group attractor.  ``mu``/``rho`` are the
     fixed-parameter values; they are ignored when ``variable_params`` is set
     and the variable-parameter engine supplies them per step instead.
+    Plain LMS has no attractor to scale, so it takes no nonzero ``rho``.
     """
 
     L: int
@@ -60,6 +61,8 @@ class FilterConfig:
         if not all(math.isfinite(v) and v >= 0 for v in (self.mu, self.rho)):
             raise ValueError(f"mu and rho must be finite and non-negative, "
                              f"got mu={self.mu}, rho={self.rho}")
+        if self.mode is None and self.rho != 0.0:
+            raise ValueError(f"plain LMS takes no rho (only gza or grza), got rho={self.rho}")
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ than reusing the per-sample filter loop.  It splits the members into
 near-equal tiles and stores each tile taps x members, so the member axis has
 unit stride: each member's input is a time-reversed column, a step's
 regressors are one contiguous (L, T) block, and every kernel of the fused
-step runs along whole rows of members.
-A step takes the per-member moment samples only when asked:
+step runs along whole rows of members.  It advances a block of steps tile by
+tile, all of one tile's steps before the next tile's, so a tile's weight
+errors and regressor window stay in cache from one step to the next.
+A block takes the per-member moment samples only when asked:
 validate_model_recursion samples every step and keeps only the per-step
 means, while ensemble_moments samples its final step alone.
 """
@@ -30,6 +32,9 @@ from .varparam import MomentEstimates
 # float64 array is 280 KB, so a tile's regressor block, weight-error and
 # scratch rows stay in a core's L2 cache across the dozen kernels of one step.
 TILE_MEMBERS = 1024
+# Most steps of one sampled block.  A block keeps each step's per-member
+# samples, (BLOCK_STEPS, 6, E) doubles, until the caller has reduced them.
+BLOCK_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -148,14 +153,19 @@ class _EnsemblePass:
     stride: (L, T) weight-error rows, (steps + L - 1, T) rows of the
     time-reversed, zero-padded input (one column per member, as
     SignalStream.x_rev), whose rows steps-1-t to steps-2-t+L are step t's
-    regressors, and (steps, T) noise rows.  No tile is narrower than two
-    members where the ensemble has two: a one-member tile is contiguous
-    along the taps, so einsum would take its dot kernel and sum in another
-    order.  step() applies the filter update to each tile's weight-error
-    rows in place.  A sampled step also writes each member's five moment
-    samples into the (5, E) buffer samples and its squared weight error
-    after the update into the (E,) buffer trq_rows; callers reduce over the
-    full buffers, so no result depends on the tiles.
+    regressors, and (steps, T) noise rows.  The plant is one (L, width)
+    block of equal columns, so each operand of the weight sum has unit
+    stride.  No tile is narrower than two members where the ensemble has
+    two: a one-member tile is contiguous along the taps, so einsum would
+    take its dot kernel and sum in another order.  advance() applies a
+    block of steps to each tile's weight-error rows in place, running all
+    of a tile's steps before the next tile.  A sampled block also writes
+    each member's five moment samples at its k-th step into the (K, 5, E)
+    buffer samples[k] and its squared weight error after that update into
+    the (K, E) buffer trq_rows[k], K = min(BLOCK_STEPS, steps); before the
+    first sampled block trq_rows[0] holds the initial squared weight
+    errors.  Callers reduce over the full (E,) rows, so no result depends
+    on the tiles or the block length.
     """
 
     def __init__(
@@ -192,57 +202,64 @@ class _EnsemblePass:
         w0 = np.zeros(L) if w_init is None else np.asarray(w_init, dtype=float)
         wt0 = (w0 - plant)[:, None]
         self._wt = [np.broadcast_to(wt0, (L, hi - lo)).copy() for lo, hi in self._spans]
-        self.plant = plant[:, None]
+        width = max(hi - lo for lo, hi in self._spans)
+        self._plant = np.broadcast_to(plant[:, None], (L, width)).copy()
         self.cfg = cfg
         self.g_floor = sigma_z2 * (L * stationary_power(input_model))  # sigma_z2 tr{R_u}
         self.steps = steps
         self.t = 0
         # rows g, h, ell, r1, r2; an LMS pass never writes h, ell or r2,
         # which are exactly 0 without an attractor
-        self.samples = np.zeros((5, ensemble))
-        self.trq_rows = np.empty(ensemble)
+        rows = min(BLOCK_STEPS, steps)
+        self.samples = np.zeros((rows, 5, ensemble))
+        self.trq_rows = np.empty((rows, ensemble))
         for (lo, hi), Wt in zip(self._spans, self._wt):
-            np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[lo:hi])
-        width = max(hi - lo for lo, hi in self._spans)
+            np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[0, lo:hi])
         self._a = np.empty(width)
         self._scratch = np.empty(L * width)
         self._bs = np.empty(L * width) if cfg.mode is not None else None
 
-    def step(self, sample: bool = False) -> None:
-        """Apply step t's filter update to every member.  With sample, first
-        take the five moment samples at step t, and after the update each
-        member's squared weight error.  The attractor is evaluated only when
-        the samples or the update read it."""
-        t, cfg, L = self.t, self.cfg, self.cfg.L
+    def advance(self, count: int, sample: bool = False) -> None:
+        """Apply the filter updates of steps t to t+count-1 to every member,
+        tile by tile.  With sample, first take the five moment samples at
+        each step, and after its update each member's squared weight error,
+        into row k of samples and trq_rows for step t+k.  The attractor is
+        evaluated only when the samples or the update read it."""
+        t0, cfg, L = self.t, self.cfg, self.cfg.L
         attract = cfg.mode is not None and (sample or cfg.rho != 0.0)
-        first = self.steps - 1 - t
+        shrink = cfg.mode is not None and cfg.rho != 0.0
         for (lo, hi), xr, z, Wt in zip(self._spans, self._xr, self._z, self._wt):
             n = hi - lo
-            U, a = xr[first:first + L], self._a[:n]
+            a, P = self._a[:n], self._plant[:, :n]
             S = self._scratch[:L * n].reshape(L, n)
-            np.einsum("lt,lt->t", Wt, U, out=a)
             if attract:
-                BS = _attractor_matrix(np.add(Wt, self.plant, out=S), cfg.partition,
-                                       cfg.mode, self._bs[:L * n].reshape(L, n))
-            if sample:
-                g, h, ell, r1, r2 = self.samples[:, lo:hi]
-                np.multiply(a, a, out=r1)
-                np.einsum("lt,lt->t", U, U, out=g)
-                g *= r1
-                g += self.g_floor
-                if cfg.mode is not None:
-                    np.einsum("lt,lt->t", BS, BS, out=h)
-                    np.einsum("lt,lt->t", U, BS, out=ell)
-                    ell *= a
-                    np.einsum("lt,lt->t", BS, Wt, out=r2)
-            e = np.subtract(z[t], a, out=a)
-            e *= cfg.mu
-            Wt += np.multiply(e, U, out=S)
-            if cfg.mode is not None and cfg.rho != 0.0:
-                Wt -= np.multiply(BS, cfg.rho, out=S)
-            if sample:
-                np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[lo:hi])
-        self.t = t + 1
+                B = self._bs[:L * n].reshape(L, n)
+            for k in range(count):
+                t = t0 + k
+                first = self.steps - 1 - t
+                U = xr[first:first + L]
+                np.einsum("lt,lt->t", Wt, U, out=a)
+                if attract:
+                    BS = _attractor_matrix(np.add(Wt, P, out=S), cfg.partition, cfg.mode, B)
+                if sample:
+                    g, h, ell, r1, r2 = self.samples[k, :, lo:hi]
+                    np.multiply(a, a, out=r1)
+                    np.einsum("lt,lt->t", U, U, out=g)
+                    g *= r1
+                    g += self.g_floor
+                    if cfg.mode is not None:
+                        np.einsum("lt,lt->t", BS, BS, out=h)
+                        np.einsum("lt,lt->t", U, BS, out=ell)
+                        ell *= a
+                        np.einsum("lt,lt->t", BS, Wt, out=r2)
+                e = np.subtract(z[t], a, out=a)
+                e *= cfg.mu
+                Wt += np.multiply(e, U, out=S)
+                if shrink:
+                    Wt -= np.multiply(BS, cfg.rho, out=S)
+                if sample:
+                    np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[k, lo:hi])
+        self.t = t0 + count
 
 
 def ensemble_moments(
@@ -265,11 +282,10 @@ def ensemble_moments(
     # a diverging ensemble overflows to inf and nan; its standard errors
     # then fail EnsembleMoments' check, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n):
-            run.step()
-        run.step(sample=True)  # its update, on the pass's last noise column, goes unread
-        means = run.samples.mean(axis=1).tolist()
-        ses = (run.samples.std(axis=1, ddof=1) / math.sqrt(ensemble)).tolist()
+        run.advance(n)
+        run.advance(1, sample=True)  # its update, on the pass's last noise column, goes unread
+        means = run.samples[0].mean(axis=1).tolist()
+        ses = (run.samples[0].std(axis=1, ddof=1) / math.sqrt(ensemble)).tolist()
     return EnsembleMoments(*means, *ses, ensemble=ensemble)
 
 
@@ -332,11 +348,13 @@ def validate_model_recursion(
     with np.errstate(over="ignore", invalid="ignore"):
         means = np.empty((5, horizon))  # rows g, h, ell, r1, r2
         trq = np.empty(horizon + 1)
-        trq[0] = run.trq_rows.mean()
-        for t in range(horizon):
-            run.step(sample=True)
-            means[:, t] = run.samples.mean(axis=1)
-            trq[t + 1] = run.trq_rows.mean()
+        trq[0] = run.trq_rows[0].mean()
+        for t0 in range(0, horizon, BLOCK_STEPS):
+            count = min(BLOCK_STEPS, horizon - t0)
+            run.advance(count, sample=True)
+            for k, t in enumerate(range(t0, t0 + count)):
+                means[:, t] = run.samples[k].mean(axis=1)
+                trq[t + 1] = run.trq_rows[k].mean()
         g, h, ell, r1, r2 = means
         mu, rho = cfg.mu, cfg.rho
         model_inc = (

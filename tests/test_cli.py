@@ -3,14 +3,29 @@
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gslms
 from gslms.cli import main
+from gslms.config import (
+    _ALGORITHM_KEYS,
+    _EXPERIMENT_KEYS,
+    _INPUT_KEYS,
+    _PARAM_KEYS,
+    AlgorithmSpec,
+    ConfigError,
+    ExperimentConfig,
+    parse_config,
+    serialize_config,
+)
 
 
 def _rejected(capsys, argv):
@@ -58,6 +73,9 @@ def test_validate_model_ensemble_below_two_rejected(capsys):
         (["validate-model", "--seed", "-1"], "--seed must be at least 0, got -1"),
         (["paper-exp1", "--seed", "-1", "--runs", "1", "--iterations", "10"],
          "--seed must be at least 0, got -1"),
+        # plain LMS has no attractor, so no update would ever apply this rho
+        (["validate-model", "--mode", "lms", "--rho", "1e-4"],
+         "--mode lms takes no --rho (only gza or grza), got 0.0001"),
     ],
 )
 def test_unrunnable_flag_rejected_before_running(tmp_path, capsys, argv, message):
@@ -231,6 +249,66 @@ def test_boundary_values_run_or_are_rejected_before_any_work(tmp_path, experimen
     assert rc in (0, 1, 2)
     if rc == 2:
         assert not out_dir.exists()
+
+
+_GENERATED_VALUES = _BOUNDARY_VALUES + ("0.999999",)
+
+
+def _numeric_rows(owner, rows):
+    """``(key, default text)`` of each number-valued row of a key table;
+    the text is None where the default is None."""
+    return [(key, None if getattr(owner, name) is None else repr(getattr(owner, name)))
+            for key, name, conv in rows if conv in (int, float)]
+
+
+@st.composite
+def _generated_ini(draw):
+    """The ``[experiment]`` lines and the algorithm sections of an INI file
+    written from the parser's own key tables: an input kind, a fixed and a
+    variable algorithm row with drawn modes, and a few of the number keys of
+    those sections, each at its default or at a boundary value."""
+    kind = draw(st.sampled_from(sorted(_INPUT_KEYS)))
+    process, _, input_rows = _INPUT_KEYS[kind]
+    modes = sorted(_ALGORITHM_KEYS[0][2])
+    sections = {
+        "experiment": (f"input = {kind}",),
+        "algorithm:fixed": (f"mode = {draw(st.sampled_from(modes))}", "variable = false"),
+        "algorithm:vp": (f"mode = {draw(st.sampled_from(modes))}", "variable = true"),
+    }
+    keys = ([("experiment", row) for row in _numeric_rows(ExperimentConfig, _EXPERIMENT_KEYS)]
+            + [("experiment", row) for row in _numeric_rows(process, input_rows)]
+            + [(f"algorithm:{section}", row)
+               for section, variable in (("fixed", False), ("vp", True))
+               for row in _numeric_rows(AlgorithmSpec, _PARAM_KEYS[variable][0])])
+    lines = {section: list(head) for section, head in sections.items()}
+    for section, (key, default) in draw(st.lists(st.sampled_from(keys), min_size=1,
+                                                 max_size=4, unique=True)):
+        value = draw(st.sampled_from((default,) + _GENERATED_VALUES))
+        if value is not None:
+            lines[section].append(f"{key} = {value}")
+    experiment = "".join(f"{row}\n" for row in lines.pop("experiment"))
+    return experiment, "\n".join(f"[{section}]\n" + "".join(f"{row}\n" for row in rows)
+                                  for section, rows in lines.items())
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.too_slow])
+@given(case=_generated_ini())
+def test_generated_ini_runs_or_is_rejected_before_any_work(case):
+    """INI files written from the key tables, several keys at a time at
+    their defaults or boundary values, obey the rules of the boundary grid
+    above: exit 0, 1 or 2, no exception and no numpy ``RuntimeWarning``, no
+    output directory on exit 2, and a strictly JSON manifest on exit 0.
+    Every config that parses round-trips through ``serialize_config``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, out_dir, _ = _run_boundary_case(pathlib.Path(tmp), *case)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert not out_dir.exists()
+    try:
+        cfg = parse_config("[experiment]\n{}\n{}".format(*case))
+    except ConfigError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_overflowing_input_power_is_written_as_null(tmp_path):

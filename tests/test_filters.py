@@ -74,6 +74,8 @@ def test_config_rejects_negative_parameters():
     for bad in (dict(mu=math.nan), dict(mu=math.inf), dict(rho=math.nan)):
         with pytest.raises(ValueError, match="finite"):
             FilterConfig(L=4, partition=p, **bad)
+    with pytest.raises(ValueError, match="plain LMS takes no rho"):
+        FilterConfig(L=4, partition=p, rho=1e-4)
 
 
 def test_initial_state_is_all_zero():

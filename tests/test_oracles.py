@@ -343,10 +343,14 @@ def test_ensemble_moments_match_pinned_record():
 # member tiles and the reversed-input regressor layout
 
 TILE_ENSEMBLE = 45  # not a multiple of 7, so most tile sizes below leave a partial tile
+HORIZON = 12
 
 
 @pytest.mark.parametrize("tile", [1, 7, TILE_ENSEMBLE - 1, TILE_ENSEMBLE, TILE_ENSEMBLE + 5])
 def test_results_do_not_depend_on_the_tile_size(monkeypatch, tile):
+    """Nor on the block length: the same bits for every tile size crossed
+    with blocks of 1, 3 and 5 steps (5 leaves a partial block), of the
+    horizon, and of more steps than the pass has."""
     plant = benchmark_plants()[0]
     gza = FilterConfig(L=35, partition=GroupPartition.contiguous(35, 5),
                        mode=AttractorMode("gza"), mu=0.005, rho=1e-4)
@@ -355,11 +359,11 @@ def test_results_do_not_depend_on_the_tile_size(monkeypatch, tile):
     def results():
         reports = [
             validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
-                                     horizon=12, ensemble=TILE_ENSEMBLE, seed=8)
+                                     horizon=HORIZON, ensemble=TILE_ENSEMBLE, seed=8)
             for cfg in configs
         ]
         moments = [
-            ensemble_moments(plant, input_model, cfg, sigma_z2=0.01, n=12,
+            ensemble_moments(plant, input_model, cfg, sigma_z2=0.01, n=HORIZON,
                              ensemble=TILE_ENSEMBLE, seed=9, w_init=0.5 * plant)
             for cfg in configs
             for input_model in (WhiteGaussian(1.0), AR1GaussianMixture())
@@ -368,11 +372,13 @@ def test_results_do_not_depend_on_the_tile_size(monkeypatch, tile):
 
     reports, moments = results()
     monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", tile)
-    tiled_reports, tiled_moments = results()
-    for a, b in zip(reports, tiled_reports):
-        for field in ("trq", "ensemble_increments", "model_increments", "rel_deviation"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    assert tiled_moments == moments  # every field, bit for bit
+    for block in (1, 3, 5, HORIZON, HORIZON + 5):
+        monkeypatch.setattr(gslms.oracles, "BLOCK_STEPS", block)
+        tiled_reports, tiled_moments = results()
+        for a, b in zip(reports, tiled_reports):
+            for field in ("trq", "ensemble_increments", "model_increments", "rel_deviation"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), (block, field)
+        assert tiled_moments == moments, block  # every field, bit for bit
 
 
 @pytest.mark.parametrize("ensemble", [2, 1025])
@@ -410,7 +416,7 @@ def test_regressor_rows_are_the_reversed_sliding_windows(monkeypatch):
     assert run._spans == [(0, 2), (2, 4), (4, 7)]
     for (lo, hi), xr in zip(run._spans, run._xr):
         for t in range(steps):
-            U = xr[steps - 1 - t:][:L]  # the block step() reads
+            U = xr[steps - 1 - t:][:L]  # the block advance() reads at step t
             assert U.shape == (L, hi - lo) and U.flags.c_contiguous
             for j in range(hi - lo):
                 assert np.array_equal(U[:, j], windows[lo + j, t, ::-1]), (t, lo + j)
