@@ -269,18 +269,14 @@ def _generated_ini(draw):
     those sections, each at its default or at a boundary value."""
     kind = draw(st.sampled_from(sorted(_INPUT_KEYS)))
     process, _, input_rows = _INPUT_KEYS[kind]
-    modes = sorted(_ALGORITHM_KEYS[0][2])
-    sections = {
-        "experiment": (f"input = {kind}",),
-        "algorithm:fixed": (f"mode = {draw(st.sampled_from(modes))}", "variable = false"),
-        "algorithm:vp": (f"mode = {draw(st.sampled_from(modes))}", "variable = true"),
-    }
-    keys = ([("experiment", row) for row in _numeric_rows(ExperimentConfig, _EXPERIMENT_KEYS)]
-            + [("experiment", row) for row in _numeric_rows(process, input_rows)]
-            + [(f"algorithm:{section}", row)
-               for section, variable in (("fixed", False), ("vp", True))
-               for row in _numeric_rows(AlgorithmSpec, _PARAM_KEYS[variable][0])])
-    lines = {section: list(head) for section, head in sections.items()}
+    lines = {"experiment": [f"input = {kind}"]}
+    keys = [("experiment", row) for row in (_numeric_rows(ExperimentConfig, _EXPERIMENT_KEYS)
+                                            + _numeric_rows(process, input_rows))]
+    for name, variable in (("fixed", False), ("vp", True)):
+        section = f"algorithm:{name}"
+        mode = draw(st.sampled_from(sorted(_ALGORITHM_KEYS[0][2])))
+        lines[section] = [f"mode = {mode}", f"variable = {str(variable).lower()}"]
+        keys += [(section, row) for row in _numeric_rows(AlgorithmSpec, _PARAM_KEYS[variable][0])]
     for section, (key, default) in draw(st.lists(st.sampled_from(keys), min_size=1,
                                                  max_size=4, unique=True)):
         value = draw(st.sampled_from((default,) + _GENERATED_VALUES))
