@@ -29,7 +29,6 @@ from .groups import AttractorMode, GroupPartition
 from .harness import emit_curves, experiment_schedule, run_experiment, steady_state_db
 from .oracles import validate_model_recursion
 from .signals import WhiteGaussian, benchmark_plants
-from .varparam import ModelError
 
 OUTPUT_DIR_ENV = "GSLMS_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "results"
@@ -192,8 +191,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        # A bare MemoryError has no message; numpy's names the allocation.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

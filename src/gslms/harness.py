@@ -107,7 +107,8 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     order x runs x taps), and each time step is one set of numpy operations
     over the whole stack.  Row ``(a, r)`` is bit-identical to folding
     ``filters.step`` (and ``varparam.vp_iteration``) over run ``first + r``
-    alone.
+    alone, except that a VP row whose transient model breaks (where
+    ``vp_iteration`` raises) gets a NaN mu and so diverges at that step.
 
     The step's mu and rho are the two rows of one ``(2, A, R)`` array, and
     every value a step averages waits in one ``(CHUNK_STEPS, A + 2V, R)``
@@ -159,12 +160,12 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
         beta_s = np.zeros((A, R, L))
         w = np.zeros((A, R, L))
         diverged_at = np.full((A, R), -1)
-        # ``w``, ``beta_s``, ``mu_rho`` and ``diverged_at`` are only written in
-        # place, so views of them taken once stay valid.
+        # ``w``, ``beta_s`` and ``mu_rho`` are only written in place, so views
+        # of them taken once stay valid.
         mu, rho_col = mu_rho[0], mu_rho[1][..., None]
         mu_rho_variable = mu_rho[:, variable]
         w_attract, beta_s_attract = w[attract], beta_s[attract]
-        beta_s_variable, diverged_variable = beta_s[variable], diverged_at[variable]
+        beta_s_variable = beta_s[variable]
         counted = np.ones((A, R), dtype=bool) if dropped is None else ~dropped
         counted = np.concatenate((counted, counted[variable], counted[variable]))
 
@@ -197,7 +198,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
                                            out=beta_s_attract)
                 if V:
                     mu_rho_variable[...] = _vp_rows_iteration(
-                        vps, u, e[variable], beta_s_variable, diverged_variable, vp_buf[j])
+                        vps, u, e[variable], beta_s_variable, vp_buf[j])
                 # w += mu e u - rho beta_s, in the order ``filters.step`` adds.
                 w += (mu * e)[..., None] * u
                 if attracting:

@@ -280,7 +280,7 @@ def vp_iteration(vp: VpState, state, cfg, u_n: np.ndarray, e_n: float,
     return mu_n, rho_n
 
 
-def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, diverged_at, out):
+def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, out):
     """:func:`vp_iteration` on every row; writes mu and then rho into the
     contiguous ``(2, V, R)`` array ``out`` and returns it.
 
@@ -295,8 +295,9 @@ def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, diverged_at, out):
     first row: the engine builds every row from one config.  ``max(a, b)``
     is spelled ``b if b > a else a`` and ``min(a, b)`` ``b if b < a else a``:
     the builtins' results, signed zeros and NaNs included, without their call
-    cost.  ``diverged_at`` is ``(V, R)``: the iteration at which each row
-    diverged, or -1.  Only rows still at -1 can raise :class:`ModelError`.
+    cost.  A row where :func:`vp_iteration` raises :class:`ModelError` gets
+    ``g = nan`` instead: its mu is NaN, so the update makes its weights NaN
+    and the engine records the row as diverged at that step.
     """
     L, sigma_z2, sigma_u2 = vps[0].L, vps[0].sigma_z2, vps[0].sigma_u2
     g0, g1 = sigma_z2 * sigma_u2 * L, (2.0 + L) * sigma_u2  # g = g0 + g1 * zeta
@@ -304,16 +305,14 @@ def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, diverged_at, out):
     ubs = row_dot(u, beta_s).ravel().tolist()
     uus = row_dot(u, u).tolist() * len(e)
     mus, rhos = [], []
-    for k, (vp, e_k, h, ub, uu) in enumerate(zip(vps, e.ravel().tolist(), hs, ubs, uus)):
+    for vp, e_k, h, ub, uu in zip(vps, e.ravel().tolist(), hs, ubs, uus):
         # estimate_emse, compute_g, compute_r1 (r1 = zeta)
         s = vp.e_smooth = (1.0 - vp.gamma) * e_k + vp.gamma * vp.e_smooth
         r1, z_min = s * s - sigma_z2, vp.zeta_min
         r1 = z_min if z_min > r1 else r1
         g = g0 + g1 * r1
         if not g > 0:
-            if diverged_at.flat[k] < 0:
-                raise ModelError(f"normalization moment must be positive, got g={g}")
-            g = math.nan  # a diverged row: keep Python from raising on x / 0.0
+            g = math.nan  # the model broke (and r1 / 0.0 would raise): mu turns NaN
         # the moments, with the weight-error estimate c u
         c = -(r1 / g) * e_k
         ell = (c * uu) * ub
@@ -321,10 +320,8 @@ def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, diverged_at, out):
         # solve_optimal_params.  A non-finite g, h or ell makes det non-finite,
         # so the cheap test only passes when every moment is finite.
         det = g * h - ell * ell
-        if (not math.isfinite(det + r2) and diverged_at.flat[k] < 0
-                and not all(map(math.isfinite, (g, h, ell, r1, r2)))):
-            m = MomentEstimates(g=g, h=h, ell=ell, r1=r1, r2=r2)
-            raise ModelError(f"non-finite moment estimates: {m}")
+        if not math.isfinite(det + r2) and not all(map(math.isfinite, (g, h, ell, r1, r2))):
+            g = math.nan  # fails the closed-form test, so mu_star = r1 / g is NaN
         if det > DET_TOL * g * (_TINY if _TINY > h else h):
             mu_star = (h * r1 - ell * r2) / det
             rho_star = (g * r2 - ell * r1) / det

@@ -179,30 +179,33 @@ def test_unrunnable_config_file_rejected_before_running(tmp_path, capsys, text, 
 
 
 @pytest.mark.parametrize(
-    "experiment, message",
-    [
-        ("input_variance = 1e200\n",
-         "non-finite moment estimates: MomentEstimates(g=inf, "),
-        ("input_variance = 1e-300\nnoise_variance = 0\n",
-         "normalization moment must be positive, got g=0.0"),
-    ],
+    "experiment, fixed_diverged",
+    [("input_variance = 1e200\n", [[0, 0], [1, 0]]),
+     ("input_variance = 1e-300\nnoise_variance = 0\n", [])],
     ids=["moments-overflow", "zero-normalization"],
 )
-def test_model_error_exits_1_with_one_line(tmp_path, capsys, experiment, message):
-    """A VP run whose transient model breaks ends in one ``error:`` line and
-    exit 1 (a validation failure), not a traceback, and writes nothing."""
-    path = tmp_path / "model.ini"
-    path.write_text(f"[experiment]\nruns = 1\niterations = 50\n{experiment}\n"
-                    "[algorithm:vp-gza]\nmode = gza\nvariable = true\n")
-    out_dir = tmp_path / "out"
-    rc, out, err = _rejected(capsys, ["run", str(path), "--output-dir", str(out_dir)])
-    assert rc == 1
-    assert out == ""
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
-    assert not out_dir.exists()
+def test_broken_vp_model_is_a_contained_divergence(tmp_path, capsys, experiment, fixed_diverged):
+    """A VP row whose transient model breaks (the moments overflow, or the
+    normalization underflows to 0) diverges at that step, not the command:
+    exit 0, nothing on stderr, and a strict-JSON manifest that lists each
+    of the VP row's runs as diverged at iteration 0.  The fixed row's curve
+    file is byte for byte the one the same config writes without the VP row
+    (at 1e200 the input itself overflows, so the fixed row diverges too)."""
+    (tmp_path / "both").mkdir()
+    (tmp_path / "fixed").mkdir()
+    rc, both_dir, manifest = _run_boundary_case(tmp_path / "both", experiment, _GRID_ROWS)
+    out, err = capsys.readouterr()
+    assert rc == 0 and err == ""
+    assert "vp-grza: stage1 nan dB  [2 diverged]" in out
+    diverged = {curve["algorithm"]: curve["diverged"] for curve in manifest["curves"]}
+    assert diverged == {"gza": fixed_diverged, "vp-grza": [[0, 0], [1, 0]]}
+    rc, fixed_dir, _ = _run_boundary_case(tmp_path / "fixed", experiment, _FIXED_ROW)
+    assert rc == 0
+    assert (both_dir / "gza.csv").read_bytes() == (fixed_dir / "gza.csv").read_bytes()
 
 
-_BOUNDARY_VALUES = ("0", "-1", "1e-320", "1e-150", "1e150", "1e308", "inf", "nan")
+_BOUNDARY_VALUES = ("0", "-1", "1e-320", "1e-150", "1e150", "1e155", "1e200", "1e250",
+                    "1e308", "inf", "nan")
 _FIXED_ROW = "[algorithm:gza]\nmode = gza\nmu = 0.02\nrho = 2e-4\n"
 _GRID_ROWS = _FIXED_ROW + "\n[algorithm:vp-grza]\nmode = grza\nvariable = true\n"
 # (id, [experiment] lines, algorithm sections): one key set per case
@@ -242,11 +245,12 @@ def _run_boundary_case(tmp_path, experiment, algorithms):
                          ids=[case[0] for case in _BOUNDARY_CASES])
 def test_boundary_values_run_or_are_rejected_before_any_work(tmp_path, experiment, algorithms):
     """Each input or noise key at a boundary value (with a fixed and a VP row)
-    runs, is rejected before any work, or fails validation: exit 0, 2 or 1,
-    no exception and no numpy ``RuntimeWarning``; exit 2 leaves no output
-    directory, and exit 0 a ``manifest.json`` that parses as strict JSON."""
+    runs or is rejected before any work: exit 0 or 2, no exception and no
+    numpy ``RuntimeWarning``; exit 2 leaves no output directory, and exit 0
+    a ``manifest.json`` that parses as strict JSON.  A VP model that breaks
+    mid-run is a diverged row, not a failed command."""
     rc, out_dir, _ = _run_boundary_case(tmp_path, experiment, algorithms)
-    assert rc in (0, 1, 2)
+    assert rc in (0, 2)
     if rc == 2:
         assert not out_dir.exists()
 
@@ -292,12 +296,12 @@ def _generated_ini(draw):
 def test_generated_ini_runs_or_is_rejected_before_any_work(case):
     """INI files written from the key tables, several keys at a time at
     their defaults or boundary values, obey the rules of the boundary grid
-    above: exit 0, 1 or 2, no exception and no numpy ``RuntimeWarning``, no
+    above: exit 0 or 2, no exception and no numpy ``RuntimeWarning``, no
     output directory on exit 2, and a strictly JSON manifest on exit 0.
     Every config that parses round-trips through ``serialize_config``."""
     with tempfile.TemporaryDirectory() as tmp:
         rc, out_dir, _ = _run_boundary_case(pathlib.Path(tmp), *case)
-        assert rc in (0, 1, 2)
+        assert rc in (0, 2)
         if rc == 2:
             assert not out_dir.exists()
     try:
@@ -354,15 +358,19 @@ def test_validate_model_tol_not_finite_positive_rejected(capsys, tol):
     assert err == f"error: --tol must be finite and positive, got {float(tol)}\n"
 
 
+def _child_env(**extra):
+    """The environment of a child interpreter that imports this ``gslms``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gslms.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p), **extra)
+
+
 def test_cli_import_loads_no_scipy():
     """The package is numpy-only: importing the CLI in a fresh interpreter
     pulls in no scipy module."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(gslms.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, gslms.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
                           capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
 
@@ -388,3 +396,31 @@ def test_diverging_validate_model_json_reports_nan_as_failed(capsys):
     assert rc == 1
     assert report["passed"] is False
     assert math.isnan(report["reports"][0]["max_rel_deviation"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["paper-exp1", "--runs", "2", "--iterations", str(10**15)],
+     ["paper-exp1", "--runs", "2", "--iterations", str(3 * 10**9)],
+     ["validate-model", "--ensemble", str(10**12), "--horizon", "5"],
+     ["validate-model", "--ensemble", "100", "--horizon", str(10**12)]],
+    ids=["iterations-1e15", "iterations-3e9", "ensemble-1e12", "horizon-1e12"],
+)
+def test_memory_exhaustion_exits_1_with_one_line(tmp_path, argv):
+    """A count whose arrays cannot be held ends in one ``error:`` line and
+    exit 1, not a traceback, and writes no output directory; a bare
+    ``MemoryError`` (no message of its own) reads "out of memory".  The
+    command runs in a child interpreter whose address space is capped at
+    1 GiB before ``gslms`` is imported, so nothing is allocated here."""
+    pytest.importorskip("resource")
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+            "from gslms.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                          env=_child_env(OPENBLAS_NUM_THREADS="1", GSLMS_OUTPUT_DIR="out"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "out of memory" in proc.stderr or "Unable to allocate" in proc.stderr
+    assert not (tmp_path / "out").exists()

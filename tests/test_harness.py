@@ -33,7 +33,7 @@ from gslms.harness import (
 from gslms.signals import (
     AR1GaussianMixture, WhiteGaussian, benchmark_schedule, scalar_stream, simulate_plant,
 )
-from gslms.varparam import DET_TOL, VpState, vp_iteration
+from gslms.varparam import DET_TOL, ModelError, VpState, vp_iteration
 
 
 def _small_cfg(**kw):
@@ -294,7 +294,8 @@ def _scalar_fold(cfg, spec, run):
     """Run ``run`` of one algorithm by folding the scalar ``vp_iteration`` and
     ``step``, each evaluating the attractor itself.  Returns the MSD, mu and
     rho per step and the iteration of the first update whose squared
-    deviation is not finite (None if none); the fold stops there."""
+    deviation is not finite, or whose ``vp_iteration`` raises ``ModelError``
+    (None if none); the fold stops there."""
     schedule = experiment_schedule(cfg)
     x = scalar_stream(cfg.input, cfg.iterations, [cfg.master_seed, run, 0])
     stream = simulate_plant(schedule, x, cfg.sigma_z2, [cfg.master_seed, run, 1])
@@ -310,7 +311,11 @@ def _scalar_fold(cfg, spec, run):
         mu_n, rho_n = fcfg.mu, fcfg.rho
         if spec.variable:
             e = d - np.dot(state.w, u)
-            mu_n, rho_n = vp_iteration(vp, state, fcfg, u, float(e))
+            try:
+                mu_n, rho_n = vp_iteration(vp, state, fcfg, u, float(e))
+            except ModelError:
+                # The transient model broke: the engine's row diverges here.
+                return msd, mus, rhos, i
             mus.append(mu_n)
             rhos.append(rho_n)
         try:
@@ -454,36 +459,33 @@ def test_diverging_row_leaves_other_rows_unchanged():
      dict(input=WhiteGaussian(1e-300), sigma_z2=0.0)],
     ids=["moments-overflow", "zero-normalization"],
 )
-def test_block_raises_the_scalar_model_error(changes, monkeypatch):
-    """A VP row not yet diverged whose transient model breaks stops the
-    block with the scalar fold's ``ModelError`` message, non-finite moments
-    and a non-positive normalization alike.  On the inputs of that step,
-    ``_vp_rows_iteration`` raises for a row whose ``diverged_at`` is -1 and
-    steps a row marked diverged on without raising."""
+def test_block_diverges_where_the_scalar_model_breaks(changes, monkeypatch):
+    """A VP row whose transient model breaks, by non-finite moments or a
+    non-positive normalization, diverges at the step where the scalar
+    ``vp_iteration`` raises ``ModelError``: the block raises nothing, its
+    ``diverged_at`` for the row is the fold's iteration, and
+    ``_vp_rows_iteration`` on the inputs of that step returns a NaN mu.  The
+    dead row then steps on to the end of the block without raising."""
     vp_spec = _ENGINE_ALGORITHMS["vp-gza"]
     cfg = _small_cfg(runs=1, iterations=50,
                      algorithms=(_ENGINE_ALGORITHMS["lms"], vp_spec), **changes)
     rows_iteration = gslms.harness._vp_rows_iteration
     calls = []
 
-    def recorded(vps, u, e, beta_s, diverged_at, out):
+    def recorded(vps, u, e, beta_s, out):
         calls.append(copy.deepcopy((vps, u, e, beta_s)))
-        return rows_iteration(vps, u, e, beta_s, diverged_at, out)
+        return rows_iteration(vps, u, e, beta_s, out)
 
     monkeypatch.setattr(gslms.harness, "_vp_rows_iteration", recorded)
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(gslms.varparam.ModelError) as scalar:
-            _scalar_fold(cfg, vp_spec, 0)
-        with pytest.raises(gslms.varparam.ModelError) as block:
-            gslms.harness._advance_block(cfg, 0, 1)
-        with pytest.raises(gslms.varparam.ModelError) as rows:
-            rows_iteration(*copy.deepcopy(calls[-1]), np.full((1, 1), -1), np.empty((2, 1, 1)))
-        # marked diverged: any iteration >= 0, 0 included
-        marked = [rows_iteration(*copy.deepcopy(calls[-1]), np.full((1, 1), it),
-                                 np.empty((2, 1, 1)))
-                  for it in (0, 1)]
-    assert str(block.value) == str(rows.value) == str(scalar.value)
-    assert [mu_rho.shape for mu_rho in marked] == [(2, 1, 1)] * 2
+        msd, mus, _, broke_at = _scalar_fold(cfg, vp_spec, 0)
+        rows = _rows_by_name(cfg, 0, gslms.harness._advance_block(cfg, 0, 1))
+    # The fold stopped inside vp_iteration: no mu and no MSD for that step.
+    assert broke_at is not None and len(mus) == len(msd) == broke_at
+    assert rows["vp-gza"][3] == [[0, broke_at]]
+    mu, _ = rows_iteration(*calls[broke_at], np.empty((2, 1, 1)))
+    assert np.isnan(mu).all()
+    assert len(calls) == cfg.iterations
 
 
 def test_block_rows_match_scalar_fold_through_every_vp_branch(monkeypatch):
@@ -558,12 +560,11 @@ def test_vp_rows_state_matches_scalar_fold(rows, runs, seed):
              for mode, *_ in rows]
     vps, refs = ([VpState.for_filter(L, sigma_z2, sigma_u2, *params)
                   for _, *params in rows for _ in range(runs)] for _ in range(2))
-    diverged_at = np.full((len(rows), runs), -1)
     state = initial_state(L)
     rng = np.random.default_rng(seed)
     for _ in range(40):
         u, e, beta_s = _random_vp_step(rng, [mode for mode, *_ in rows], runs, L)
-        mu, rho = gslms.varparam._vp_rows_iteration(vps, u, e, beta_s, diverged_at,
+        mu, rho = gslms.varparam._vp_rows_iteration(vps, u, e, beta_s,
                                                     np.empty((2,) + e.shape))
         for k, (vp, ref) in enumerate(zip(vps, refs)):
             a, r = divmod(k, runs)
@@ -586,8 +587,7 @@ def test_vp_rows_step_makes_three_dot_calls(modes, runs, monkeypatch):
         return row_dot(*args, **kwargs)
 
     monkeypatch.setattr(gslms.varparam, "row_dot", counted)
-    gslms.varparam._vp_rows_iteration(vps, u, e, beta_s, np.full(e.shape, -1),
-                                      np.empty((2,) + e.shape))
+    gslms.varparam._vp_rows_iteration(vps, u, e, beta_s, np.empty((2,) + e.shape))
     assert len(calls) == 3
 
 
@@ -603,9 +603,9 @@ def test_block_leaves_a_diverged_vp_row_dead(monkeypatch):
     def block(spike):
         seen = []
 
-        def traced(vps, u, e, beta_s, diverged_at, out):
+        def traced(vps, u, e, beta_s, out):
             seen.append([asdict(vp) for vp in vps])
-            mu_rho = rows_iteration(vps, u, e, beta_s, diverged_at, out)
+            mu_rho = rows_iteration(vps, u, e, beta_s, out)
             if spike and len(seen) == 20:
                 mu_rho[0, 1, 1] = np.inf  # mu of (vp-grza, run 1): diverges at iteration 19
             return mu_rho
