@@ -16,8 +16,7 @@ import multiprocessing
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -42,6 +41,7 @@ STEADY_STATE_WINDOW = 1000
 BLOCK_RUNS = 20
 # Steps whose per-row values a block buffers before adding them to its sums:
 # a block's memory does not grow with the iteration count beyond the sums.
+# Also the rows the CSV writer turns into Python objects at a time.
 CHUNK_STEPS = 256
 
 
@@ -74,12 +74,18 @@ def experiment_schedule(cfg: ExperimentConfig) -> PlantSchedule:
     return benchmark_schedule(total_iterations=cfg.iterations)
 
 
-def _blocks(runs: int) -> list[tuple[int, int]]:
+def _block_count(runs: int) -> int:
+    return -(-runs // BLOCK_RUNS)
+
+
+def _blocks(runs: int) -> Iterator[tuple[int, int]]:
     """Contiguous, near-equal ``(first, count)`` run blocks of at most
-    :data:`BLOCK_RUNS` runs; they depend on ``runs`` alone."""
-    n = -(-runs // BLOCK_RUNS)
-    counts = [runs // n + (k < runs % n) for k in range(n)]
-    return list(zip(accumulate(counts, initial=0), counts))
+    :data:`BLOCK_RUNS` runs, made one at a time (so a huge ``runs`` costs no
+    memory up front); they depend on ``runs`` alone."""
+    n = _block_count(runs)
+    size, extra = divmod(runs, n)
+    for k in range(n):
+        yield k * size + min(k, extra), size + (k < extra)
 
 
 # Row order inside a block, by (variable, mode): lms, vp-lms, vp-gza,
@@ -234,34 +240,41 @@ def _run_block(args: tuple[ExperimentConfig, int, int]):
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurve]:
     """Average the configured algorithms over ``cfg.runs`` paired realizations.
 
-    The runs are split into blocks (:func:`_blocks`) whose row sums are
-    added in block order, so the result does not depend on ``workers``.  A
-    diverged run is dropped from that algorithm's average and recorded with
-    the iteration it failed at; the other algorithms keep the run.  The
-    metadata's ``measured_input_power`` is None where the mean power is not
-    finite.
+    The runs are split into blocks (:func:`_blocks`, made as they are handed
+    out) whose row sums are added in block order into the first block's
+    sums, so the result does not depend on ``workers``.  The sums are
+    non-negative or NaN, so this gives the bits that adding into zeros gives.
+    Each column is then scaled in place, and every curve's arrays are views
+    of that one ``(N, A + 2V)`` array.  A diverged run is dropped from that
+    algorithm's average and recorded with the iteration it failed at; the
+    other algorithms keep the run.  The metadata's ``measured_input_power``
+    is None where the mean power is not finite.
     """
     if not cfg.algorithms:
         raise ValueError("experiment config lists no algorithms")
     specs = _row_specs(cfg)
     vp_specs = [s for s in specs if s.variable]
     A, V = len(specs), len(vp_specs)
-    sums = np.zeros((cfg.iterations, A + 2 * V))
+    sums = None
     diverged = [[] for _ in specs]
     power_sum = 0.0
 
-    tasks = [(cfg, first, count) for first, count in _blocks(cfg.runs)]
-    if workers <= 1 or len(tasks) == 1:
+    n_blocks = _block_count(cfg.runs)
+    tasks = ((cfg, first, count) for first, count in _blocks(cfg.runs))
+    if workers <= 1 or n_blocks == 1:
         results = map(_run_block, tasks)
         pool = None
     else:
-        pool = multiprocessing.Pool(processes=min(workers, len(tasks)))
+        pool = multiprocessing.Pool(processes=min(workers, n_blocks))
         results = pool.imap(_run_block, tasks)
     try:
         for first, (powers, block_sums, diverged_at) in results:
             for power in powers:
                 power_sum += power
-            sums += block_sums
+            if sums is None:
+                sums = block_sums
+            else:
+                sums += block_sums
             for a, r in zip(*np.nonzero(diverged_at >= 0)):
                 diverged[a].append([first + int(r), int(diverged_at[a, r])])
     finally:
@@ -269,6 +282,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
             pool.close()
             pool.join()
 
+    runs_used = [cfg.runs - len(runs) for runs in diverged]
+    scale = np.array([1.0 / n if n else np.nan for n in runs_used])
+    variable = [s.variable for s in specs]
+    sums *= np.concatenate((scale, scale[variable], scale[variable]))
     digest = config_hash(cfg)
     measured_power = power_sum / cfg.runs
     if not math.isfinite(measured_power):
@@ -276,12 +293,10 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
     curves = []
     for spec in cfg.algorithms:
         a = specs.index(spec)
-        n_used = cfg.runs - len(diverged[a])
-        scale = 1.0 / n_used if n_used else np.nan
         mu_tr = lam_tr = None
         if spec.variable:
             v = A + vp_specs.index(spec)
-            mu_tr, lam_tr = sums[:, v] * scale, sums[:, v + V] * scale
+            mu_tr, lam_tr = sums[:, v], sums[:, v + V]
         metadata = {
             "experiment": cfg.experiment,
             "algorithm": spec.name,
@@ -290,13 +305,13 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
             "config_hash": digest,
             "master_seed": cfg.master_seed,
             "runs": cfg.runs,
-            "runs_used": n_used,
+            "runs_used": runs_used[a],
             "diverged_runs": len(diverged[a]),
             "diverged": diverged[a],
             "iterations": cfg.iterations,
             "measured_input_power": measured_power,
         }
-        curves.append(LearningCurve(name=spec.name, msd=sums[:, a] * scale, mu_trace=mu_tr,
+        curves.append(LearningCurve(name=spec.name, msd=sums[:, a], mu_trace=mu_tr,
                                     lambda_trace=lam_tr, metadata=metadata))
     return curves
 
@@ -387,11 +402,14 @@ def emit_curves(curves: list[LearningCurve], cfg: ExperimentConfig, out_dir) -> 
 
 
 def _write_csv(path: str, curve: LearningCurve) -> None:
+    """Rows go through ``repr`` and are written :data:`CHUNK_STEPS` at a
+    time, one ``write`` per slice, so Python holds one slice's objects."""
     names, cols = _curve_columns(curve)
-    rows = zip(*(map(repr, col.tolist()) for col in cols))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        fh.writelines(map("{}\n".format, map(",".join, rows)))
+        for lo in range(0, len(cols[0]), CHUNK_STEPS):
+            rows = zip(*(map(repr, col[lo:lo + CHUNK_STEPS].tolist()) for col in cols))
+            fh.write("".join(map("{}\n".format, map(",".join, rows))))
 
 
 def _write_json(path: str, curve: LearningCurve) -> None:

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import textwrap
 import warnings
 
 import pytest
@@ -424,3 +425,41 @@ def test_memory_exhaustion_exits_1_with_one_line(tmp_path, argv):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "out of memory" in proc.stderr or "Unable to allocate" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_huge_run_count_starts_without_listing_its_blocks():
+    """``runs = 10**12`` makes 5 * 10**10 blocks, made as they are handed
+    out: the third block reaches ``_run_block`` within 10 s under a 1 GiB
+    address-space cap, where listing them first had not ended by then.
+    The child interpreter stops at a marker raised by that third call, so
+    nothing is allocated here."""
+    pytest.importorskip("resource")
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        from dataclasses import replace
+        import gslms.harness as harness
+        from gslms.config import builtin_config
+
+        class Marker(Exception):
+            pass
+
+        run_block, seen = harness._run_block, []
+
+        def third_raises(task):
+            seen.append(task[1:])
+            if len(seen) == 3:
+                raise Marker
+            return run_block(task)
+
+        harness._run_block = third_raises
+        cfg = replace(builtin_config("exp1"), runs=10**12, iterations=10)
+        try:
+            harness.run_experiment(cfg, workers=1)
+        except Marker:
+            print("marker", seen)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "marker [(0, 20), (20, 20), (40, 20)]\n"

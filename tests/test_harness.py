@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import tracemalloc
 import warnings
 from dataclasses import asdict, replace
 
@@ -191,7 +192,7 @@ def test_divergence_across_blocks_merges_in_run_order():
     scalar fold's, the stable row's curve is the one it has without the
     unstable row, and 1 and 2 workers agree."""
     cfg = _diverging_cfg()
-    assert gslms.harness._blocks(41) == [(0, 14), (14, 14), (28, 13)]
+    assert list(gslms.harness._blocks(41)) == [(0, 14), (14, 14), (28, 13)]
     with np.errstate(over="ignore", invalid="ignore"):
         serial = run_experiment(cfg, workers=1)
         pooled = run_experiment(cfg, workers=2)
@@ -637,13 +638,13 @@ def test_block_leaves_a_diverged_vp_row_dead(monkeypatch):
 
 
 def test_blocks_depend_on_run_count_only():
-    assert gslms.harness._blocks(1) == [(0, 1)]
-    assert gslms.harness._blocks(20) == [(0, 20)]
-    assert gslms.harness._blocks(45) == [(0, 15), (15, 15), (30, 15)]
-    assert gslms.harness._blocks(101) == [(0, 17), (17, 17), (34, 17), (51, 17),
-                                          (68, 17), (85, 16)]
+    assert list(gslms.harness._blocks(1)) == [(0, 1)]
+    assert list(gslms.harness._blocks(20)) == [(0, 20)]
+    assert list(gslms.harness._blocks(45)) == [(0, 15), (15, 15), (30, 15)]
+    assert list(gslms.harness._blocks(101)) == [(0, 17), (17, 17), (34, 17), (51, 17),
+                                                (68, 17), (85, 16)]
     for runs in range(1, 130):
-        blocks = gslms.harness._blocks(runs)
+        blocks = list(gslms.harness._blocks(runs))
         assert max(c for _, c in blocks) <= gslms.harness.BLOCK_RUNS
         assert max(c for _, c in blocks) - min(c for _, c in blocks) <= 1
         assert [f for f, _ in blocks] == [sum(c for _, c in blocks[:k]) for k in range(len(blocks))]
@@ -787,6 +788,80 @@ def test_emit_surfaces_io_errors(tmp_path):
     target.write_text("a file, not a directory")
     with pytest.raises(OSError):
         emit_curves(curves, cfg, target)
+
+
+def _special_curve(rows, variable):
+    """A ``rows``-row curve whose columns hold 0.0 (so ``-inf`` dB), nan and
+    inf among random values."""
+    cols = np.random.default_rng(rows).random((3, rows))
+    cols[:, ::7], cols[:, 3::7], cols[:, 5::7] = 0.0, np.nan, np.inf
+    return LearningCurve(name="c", msd=cols[0], mu_trace=cols[1] if variable else None,
+                         lambda_trace=cols[2] if variable else None, metadata={})
+
+
+def _one_shot_csv(curve):
+    """``curve``'s CSV text written whole: ``repr`` of every value, joined by
+    "," and "\n"."""
+    names = ["iter", "msd_linear", "msd_db"]
+    cols = [range(1, curve.msd.size + 1), curve.msd.tolist(), curve.msd_db.tolist()]
+    if curve.mu_trace is not None:
+        names += ["mu", "lambda"]
+        cols += [curve.mu_trace.tolist(), curve.lambda_trace.tolist()]
+    return "".join(",".join(row) + "\n" for row in [names, *zip(*(map(repr, c) for c in cols))])
+
+
+_C = gslms.harness.CHUNK_STEPS
+
+
+@pytest.mark.parametrize("variable", [False, True], ids=["fixed", "vp"])
+@pytest.mark.parametrize("rows", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1])
+def test_csv_slices_write_the_one_shot_bytes(tmp_path, rows, variable):
+    """The CSV writer's ``CHUNK_STEPS``-row slices join into the bytes of
+    one whole-curve write, on both sides of every slice boundary."""
+    curve = _special_curve(rows, variable)
+    path = tmp_path / "c.csv"
+    gslms.harness._write_csv(str(path), curve)
+    text = _one_shot_csv(curve)
+    assert path.read_bytes() == text.encode()
+    if rows > 5:
+        assert {"nan", "inf", "-inf"} <= set(text.replace("\n", ",").split(","))
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes ``tracemalloc`` saw during it
+    (numpy reports its buffers to it)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_csv_writer_holds_one_slice_of_rows(tmp_path):
+    """A 200,000-row VP curve is written under a 6 MB traced peak: its
+    iteration and dB columns (3.2 MB) and Python objects for one slice of
+    rows, not a list of every value of a column at once (35 MB)."""
+    rng = np.random.default_rng(1)
+    curve = LearningCurve(name="vp", msd=rng.random(200_000), mu_trace=rng.random(200_000),
+                          lambda_trace=rng.random(200_000), metadata={})
+    _, peak = _traced_peak(gslms.harness._write_csv, str(tmp_path / "vp.csv"), curve)
+    assert peak < 6e6
+
+
+def test_run_experiment_holds_one_results_array():
+    """exp1 at 1 run x 24,000 iterations peaks under 2.5x the bytes of the
+    curves it returns: they are views of the first block's sums, scaled in
+    place (a zeroed accumulator beside them and a copy per curve read
+    3.0x).  A short run first keeps one-time allocations out of the peak."""
+    cfg = replace(builtin_config("exp1"), runs=1)
+    run_experiment(replace(cfg, iterations=10))
+    curves, peak = _traced_peak(run_experiment, cfg)
+    held = sum(col.nbytes for c in curves for col in (c.msd, c.mu_trace, c.lambda_trace)
+               if col is not None)
+    assert held == 9 * 24_000 * 8
+    assert peak < 2.5 * held
 
 
 def test_steady_state_window_constant():
