@@ -842,7 +842,7 @@ def _traced_peak(fn, *args):
 def test_csv_writer_holds_one_slice_of_rows(tmp_path):
     """A 200,000-row VP curve is written under a 6 MB traced peak: its
     iteration and dB columns (3.2 MB) and Python objects for one slice of
-    rows, not a list of every value of a column at once (35 MB)."""
+    rows, not a list of every value of a column at once (37 MB)."""
     rng = np.random.default_rng(1)
     curve = LearningCurve(name="vp", msd=rng.random(200_000), mu_trace=rng.random(200_000),
                           lambda_trace=rng.random(200_000), metadata={})
