@@ -65,8 +65,13 @@ class LearningCurve:
 
     @property
     def msd_db(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return 10.0 * np.log10(self.msd)
+        return _db(self.msd)
+
+
+def _db(msd: np.ndarray) -> np.ndarray:
+    """``msd`` in dB; a 0 reads ``-inf`` without a warning."""
+    with np.errstate(divide="ignore"):
+        return 10.0 * np.log10(msd)
 
 
 def experiment_schedule(cfg: ExperimentConfig) -> PlantSchedule:
@@ -339,13 +344,18 @@ def steady_state_db(msd: np.ndarray, schedule: PlantSchedule) -> list[float]:
     ]
 
 
-def _curve_columns(curve: LearningCurve) -> tuple[list[str], list[np.ndarray]]:
+def _curve_columns(
+    curve: LearningCurve, lo: int = 0, hi: Optional[int] = None
+) -> tuple[list[str], list[np.ndarray]]:
+    """The column names and rows ``lo`` to ``hi - 1`` (every row by default)
+    of each column; the iteration and dB columns are made for those rows
+    only."""
     names = ["iter", "msd_linear", "msd_db"]
-    n = curve.msd.shape[0]
-    cols = [np.arange(1, n + 1), curve.msd, curve.msd_db]
+    msd = curve.msd[lo:hi]
+    cols = [np.arange(lo + 1, lo + msd.shape[0] + 1), msd, _db(msd)]
     if curve.mu_trace is not None:
         names += ["mu", "lambda"]
-        cols += [curve.mu_trace, curve.lambda_trace]
+        cols += [curve.mu_trace[lo:hi], curve.lambda_trace[lo:hi]]
     return names, cols
 
 
@@ -403,12 +413,15 @@ def emit_curves(curves: list[LearningCurve], cfg: ExperimentConfig, out_dir) -> 
 
 def _write_csv(path: str, curve: LearningCurve) -> None:
     """Rows go through ``repr`` and are written :data:`CHUNK_STEPS` at a
-    time, one ``write`` per slice, so Python holds one slice's objects."""
-    names, cols = _curve_columns(curve)
+    time, one ``write`` per slice, so Python holds one slice's objects and
+    numpy one slice's iteration and dB values.  Slices start at multiples
+    of 256, so ``log10`` groups its SIMD lanes as in a whole-column call."""
+    names, _ = _curve_columns(curve, 0, 0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        for lo in range(0, len(cols[0]), CHUNK_STEPS):
-            rows = zip(*(map(repr, col[lo:lo + CHUNK_STEPS].tolist()) for col in cols))
+        for lo in range(0, curve.msd.shape[0], CHUNK_STEPS):
+            _, cols = _curve_columns(curve, lo, lo + CHUNK_STEPS)
+            rows = zip(*(map(repr, col.tolist()) for col in cols))
             fh.write("".join(map("{}\n".format, map(",".join, rows))))
 
 

@@ -7,11 +7,13 @@ against something that cannot share their bugs.  The ensemble simulator
 advances all weight-error trajectories with batched numpy expressions rather
 than reusing the per-sample filter loop.  It splits the members into
 near-equal tiles and stores each tile taps x members, so the member axis has
-unit stride: each member's input is a time-reversed column, a step's
-regressors are one contiguous (L, T) block, and every kernel of the fused
-step runs along whole rows of members.  It advances a block of steps tile by
-tile, all of one tile's steps before the next tile's, so a tile's weight
-errors and regressor window stay in cache from one step to the next.
+unit stride: a step's regressors are one contiguous (L, T) block of the
+tile's rolling window of time-reversed inputs, and every kernel of the fused
+step runs along whole rows of members.  The input and the noise are drawn
+step-major one block of steps at a time, so the simulator's memory does not
+grow with the number of steps.  It advances a block tile by tile, all of one
+tile's steps before the next tile's, so a tile's weight errors and
+regressor window stay in cache from one step to the next.
 A block takes the per-member moment samples only when asked:
 validate_model_recursion samples every step and keeps only the per-step
 means, while ensemble_moments samples its final step alone.
@@ -32,8 +34,9 @@ from .varparam import MomentEstimates
 # float64 array is 280 KB, so a tile's regressor block, weight-error and
 # scratch rows stay in a core's L2 cache across the dozen kernels of one step.
 TILE_MEMBERS = 1024
-# Most steps of one sampled block.  A block keeps each step's per-member
-# samples, (BLOCK_STEPS, 6, E) doubles, until the caller has reduced them.
+# Most steps of one block.  A block draws (BLOCK_STEPS, E) inputs and noise,
+# and a sampled one keeps each step's per-member samples, (BLOCK_STEPS, 6, E)
+# doubles, until the caller has reduced them.
 BLOCK_STEPS = 8
 
 
@@ -128,44 +131,34 @@ def _attractor_matrix(
     return np.divide(W, np.repeat(safe, p.sizes, axis=0), out=out)
 
 
-def _member_samples(input_model, ensemble: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """(ensemble, count) matrix of scalar input samples, one row per member."""
-    if isinstance(input_model, WhiteGaussian):
-        return rng.normal(0.0, math.sqrt(input_model.variance), size=(ensemble, count))
-    if isinstance(input_model, AR1GaussianMixture):
-        burn = 1000
-        sd = math.sqrt(input_model.sigma_v2)
-        total = count + burn
-        signs = np.where(rng.random(size=(ensemble, total)) < 0.5, -1.0, 1.0)
-        v = input_model.a * sd * signs + rng.normal(0.0, sd, size=(ensemble, total))
-        x = v.copy()
-        for t in range(1, total):
-            x[:, t] += input_model.alpha * x[:, t - 1]
-        return x[:, burn:]
-    raise TypeError(f"unsupported input model {type(input_model).__name__}")
-
-
 class _EnsemblePass:
     """Batched simulation of `ensemble` independent trajectories.
 
     The members are split into near-equal tiles of at most TILE_MEMBERS,
     and every tile is stored taps x members, so the member axis has unit
-    stride: (L, T) weight-error rows, (steps + L - 1, T) rows of the
-    time-reversed, zero-padded input (one column per member, as
-    SignalStream.x_rev), whose rows steps-1-t to steps-2-t+L are step t's
-    regressors, and (steps, T) noise rows.  The plant is one (L, width)
-    block of equal columns, so each operand of the weight sum has unit
-    stride.  No tile is narrower than two members where the ensemble has
-    two: a one-member tile is contiguous along the taps, so einsum would
-    take its dot kernel and sum in another order.  advance() applies a
-    block of steps to each tile's weight-error rows in place, running all
-    of a tile's steps before the next tile.  A sampled block also writes
-    each member's five moment samples at its k-th step into the (K, 5, E)
-    buffer samples[k] and its squared weight error after that update into
-    the (K, E) buffer trq_rows[k], K = min(BLOCK_STEPS, steps); before the
-    first sampled block trq_rows[0] holds the initial squared weight
-    errors.  Callers reduce over the full (E,) rows, so no result depends
-    on the tiles or the block length.
+    stride: (L, T) weight-error rows and a rolling (K + L - 1, T) window of
+    the time-reversed input (one column per member), K = min(BLOCK_STEPS,
+    steps).  The input and the noise are drawn step-major, (count, E) per
+    block from the two generators spawned from the seed, and an AR(1)
+    member's state carries from block to block, so the draws depend neither
+    on the tiles nor on the block length, and no more than a block of them
+    is ever held.  At the start of a block of count steps each window moves
+    its L - 1 latest inputs down to rows count to count+L-2 and takes the
+    block's inputs, latest first, in rows 0 to count-1, so step k of the
+    block reads its regressors as the contiguous rows count-1-k to
+    count-2-k+L; the window starts at zero, which is the zero padding
+    before the first step.  The plant is one (L, width) block of equal
+    columns, so each operand of the weight sum has unit stride.  No tile is
+    narrower than two members where the ensemble has two: a one-member tile
+    is contiguous along the taps, so einsum would take its dot kernel and
+    sum in another order.  advance() applies blocks of steps to each tile's
+    weight-error rows in place, running all of a tile's steps of a block
+    before the next tile.  A sampled block also writes each member's five
+    moment samples at its k-th step into the (K, 5, E) buffer samples[k]
+    and its squared weight error after that update into the (K, E) buffer
+    trq_rows[k]; before the first sampled block trq_rows[0] holds the
+    initial squared weight errors.  Callers reduce over the full (E,) rows,
+    so no result depends on the tiles or the block length.
     """
 
     def __init__(
@@ -183,22 +176,28 @@ class _EnsemblePass:
         L = cfg.L
         if plant.shape != (L,):
             raise ValueError("plant length must match the filter length")
+        if isinstance(input_model, WhiteGaussian):
+            self._x_sd, self._x_prev = math.sqrt(input_model.variance), None
+        elif isinstance(input_model, AR1GaussianMixture):
+            self._x_sd, self._x_prev = math.sqrt(input_model.sigma_v2), np.zeros(ensemble)
+        else:
+            raise TypeError(f"unsupported input model {type(input_model).__name__}")
+        self._input_model, self._ensemble = input_model, ensemble
+        self._z_sd = math.sqrt(sigma_z2)
+        self._x_rng, self._z_rng = (
+            np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+        if self._x_prev is not None:
+            for _ in range(1000):  # burn-in
+                self._ar1_step()
+        self._block = min(BLOCK_STEPS, steps)
+        # rows g, h, ell, r1, r2; an LMS pass never writes h, ell or r2,
+        # which are exactly 0 without an attractor
+        self.samples = np.zeros((self._block, 5, ensemble))
+        self.trq_rows = np.empty((self._block, ensemble))
         count = max(1, min(-(-ensemble // TILE_MEMBERS), ensemble // 2))
         edges = [ensemble * k // count for k in range(count + 1)]
         self._spans = list(zip(edges, edges[1:]))
-        ss = np.random.SeedSequence(seed)
-        x_rng, z_rng = (np.random.default_rng(s) for s in ss.spawn(2))
-        x = _member_samples(input_model, ensemble, steps, x_rng)
-        self._xr = []
-        for lo, hi in self._spans:
-            xr = np.zeros((steps + L - 1, hi - lo))
-            xr[:steps] = x[lo:hi, ::-1].T
-            self._xr.append(xr)
-        del x  # so x, the regressor tiles and the noise never coexist
-        # tile by tile, these are exactly the values of one (E, steps) draw
-        sd = math.sqrt(sigma_z2)
-        self._z = [z_rng.normal(0.0, sd, size=(hi - lo, steps)).T.copy()
-                   for lo, hi in self._spans]
+        self._xr = [np.zeros((self._block + L - 1, hi - lo)) for lo, hi in self._spans]
         w0 = np.zeros(L) if w_init is None else np.asarray(w_init, dtype=float)
         wt0 = (w0 - plant)[:, None]
         self._wt = [np.broadcast_to(wt0, (L, hi - lo)).copy() for lo, hi in self._spans]
@@ -206,60 +205,73 @@ class _EnsemblePass:
         self._plant = np.broadcast_to(plant[:, None], (L, width)).copy()
         self.cfg = cfg
         self.g_floor = sigma_z2 * (L * stationary_power(input_model))  # sigma_z2 tr{R_u}
-        self.steps = steps
-        self.t = 0
-        # rows g, h, ell, r1, r2; an LMS pass never writes h, ell or r2,
-        # which are exactly 0 without an attractor
-        rows = min(BLOCK_STEPS, steps)
-        self.samples = np.zeros((rows, 5, ensemble))
-        self.trq_rows = np.empty((rows, ensemble))
         for (lo, hi), Wt in zip(self._spans, self._wt):
             np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[0, lo:hi])
         self._a = np.empty(width)
         self._scratch = np.empty(L * width)
         self._bs = np.empty(L * width) if cfg.mode is not None else None
 
+    def _ar1_step(self) -> np.ndarray:
+        """Every member's next AR(1)-mixture input x_t = v_t + alpha x_{t-1}:
+        E uniforms pick the signs of the mixture means, then E normals."""
+        m, rng, E = self._input_model, self._x_rng, self._x_prev.size
+        signs = np.where(rng.random(E) < 0.5, -1.0, 1.0)
+        x = m.a * self._x_sd * signs + rng.normal(0.0, self._x_sd, size=E)
+        x += m.alpha * self._x_prev
+        self._x_prev = x
+        return x
+
+    def _inputs(self, count: int) -> np.ndarray:
+        """Every member's input at the next count steps, (count, E)."""
+        if self._x_prev is None:
+            return self._x_rng.normal(0.0, self._x_sd, size=(count, self._ensemble))
+        return np.stack([self._ar1_step() for _ in range(count)])
+
     def advance(self, count: int, sample: bool = False) -> None:
-        """Apply the filter updates of steps t to t+count-1 to every member,
-        tile by tile.  With sample, first take the five moment samples at
-        each step, and after its update each member's squared weight error,
-        into row k of samples and trq_rows for step t+k.  The attractor is
-        evaluated only when the samples or the update read it."""
-        t0, cfg, L = self.t, self.cfg, self.cfg.L
+        """Apply the filter updates of the next count steps to every member,
+        in blocks of at most K steps, tile by tile.  With sample, which takes
+        one block (count <= K), first take the five moment samples at each
+        step k, and after its update each member's squared weight error,
+        into row k of samples and trq_rows.  The attractor is evaluated only
+        when the samples or the update read it."""
+        cfg, L = self.cfg, self.cfg.L
         attract = cfg.mode is not None and (sample or cfg.rho != 0.0)
         shrink = cfg.mode is not None and cfg.rho != 0.0
-        for (lo, hi), xr, z, Wt in zip(self._spans, self._xr, self._z, self._wt):
-            n = hi - lo
-            a, P = self._a[:n], self._plant[:, :n]
-            S = self._scratch[:L * n].reshape(L, n)
-            if attract:
-                B = self._bs[:L * n].reshape(L, n)
-            for k in range(count):
-                t = t0 + k
-                first = self.steps - 1 - t
-                U = xr[first:first + L]
-                np.einsum("lt,lt->t", Wt, U, out=a)
+        for done in range(0, count, self._block):
+            steps = min(self._block, count - done)
+            x = self._inputs(steps)
+            z = self._z_rng.normal(0.0, self._z_sd, size=x.shape)
+            for (lo, hi), xr, Wt in zip(self._spans, self._xr, self._wt):
+                n = hi - lo
+                xr[steps:steps + L - 1] = xr[:L - 1]
+                xr[:steps] = x[::-1, lo:hi]
+                a, P = self._a[:n], self._plant[:, :n]
+                S = self._scratch[:L * n].reshape(L, n)
                 if attract:
-                    BS = _attractor_matrix(np.add(Wt, P, out=S), cfg.partition, cfg.mode, B)
-                if sample:
-                    g, h, ell, r1, r2 = self.samples[k, :, lo:hi]
-                    np.multiply(a, a, out=r1)
-                    np.einsum("lt,lt->t", U, U, out=g)
-                    g *= r1
-                    g += self.g_floor
-                    if cfg.mode is not None:
-                        np.einsum("lt,lt->t", BS, BS, out=h)
-                        np.einsum("lt,lt->t", U, BS, out=ell)
-                        ell *= a
-                        np.einsum("lt,lt->t", BS, Wt, out=r2)
-                e = np.subtract(z[t], a, out=a)
-                e *= cfg.mu
-                Wt += np.multiply(e, U, out=S)
-                if shrink:
-                    Wt -= np.multiply(BS, cfg.rho, out=S)
-                if sample:
-                    np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[k, lo:hi])
-        self.t = t0 + count
+                    B = self._bs[:L * n].reshape(L, n)
+                for k in range(steps):
+                    U = xr[steps - 1 - k:steps - 1 - k + L]
+                    np.einsum("lt,lt->t", Wt, U, out=a)
+                    if attract:
+                        BS = _attractor_matrix(np.add(Wt, P, out=S), cfg.partition, cfg.mode, B)
+                    if sample:
+                        g, h, ell, r1, r2 = self.samples[k, :, lo:hi]
+                        np.multiply(a, a, out=r1)
+                        np.einsum("lt,lt->t", U, U, out=g)
+                        g *= r1
+                        g += self.g_floor
+                        if cfg.mode is not None:
+                            np.einsum("lt,lt->t", BS, BS, out=h)
+                            np.einsum("lt,lt->t", U, BS, out=ell)
+                            ell *= a
+                            np.einsum("lt,lt->t", BS, Wt, out=r2)
+                    e = np.subtract(z[k, lo:hi], a, out=a)
+                    e *= cfg.mu
+                    Wt += np.multiply(e, U, out=S)
+                    if shrink:
+                        Wt -= np.multiply(BS, cfg.rho, out=S)
+                    if sample:
+                        np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[k, lo:hi])
 
 
 def ensemble_moments(
@@ -283,7 +295,7 @@ def ensemble_moments(
     # then fail EnsembleMoments' check, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         run.advance(n)
-        run.advance(1, sample=True)  # its update, on the pass's last noise column, goes unread
+        run.advance(1, sample=True)  # its update goes unread
         means = run.samples[0].mean(axis=1).tolist()
         ses = (run.samples[0].std(axis=1, ddof=1) / math.sqrt(ensemble)).tolist()
     return EnsembleMoments(*means, *ses, ensemble=ensemble)

@@ -399,20 +399,28 @@ def test_diverging_validate_model_json_reports_nan_as_failed(capsys):
     assert math.isnan(report["reports"][0]["max_rel_deviation"])
 
 
+HUGE_COUNTS = {"2p31": 2**31, "1e12": 10**12, "1e15": 10**15}
+HUGE_COUNT_ARGV = {
+    "iterations": ["paper-exp1", "--runs", "2", "--iterations", "{}"],
+    "ensemble": ["validate-model", "--ensemble", "{}", "--horizon", "5"],
+    "horizon": ["validate-model", "--ensemble", "100", "--horizon", "{}"],
+}
+
+
 @pytest.mark.parametrize(
     "argv",
-    [["paper-exp1", "--runs", "2", "--iterations", str(10**15)],
-     ["paper-exp1", "--runs", "2", "--iterations", str(3 * 10**9)],
-     ["validate-model", "--ensemble", str(10**12), "--horizon", "5"],
-     ["validate-model", "--ensemble", "100", "--horizon", str(10**12)]],
-    ids=["iterations-1e15", "iterations-3e9", "ensemble-1e12", "horizon-1e12"],
+    [pytest.param([arg.format(count) for arg in argv], id=f"{key}-{tag}")
+     for key, argv in HUGE_COUNT_ARGV.items() for tag, count in HUGE_COUNTS.items()]
+    + [pytest.param(["paper-exp1", "--runs", "2", "--iterations", str(3 * 10**9)],
+                    id="iterations-3e9")],
 )
 def test_memory_exhaustion_exits_1_with_one_line(tmp_path, argv):
     """A count whose arrays cannot be held ends in one ``error:`` line and
     exit 1, not a traceback, and writes no output directory; a bare
-    ``MemoryError`` (no message of its own) reads "out of memory".  The
-    command runs in a child interpreter whose address space is capped at
-    1 GiB before ``gslms`` is imported, so nothing is allocated here."""
+    ``MemoryError`` (no message of its own) reads "out of memory".  Each
+    count key takes 2**31, 10**12 and 10**15.  The command runs in a child
+    interpreter whose address space is capped at 1 GiB before ``gslms`` is
+    imported, so nothing is allocated here."""
     pytest.importorskip("resource")
     code = ("import resource, sys; "
             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
@@ -430,12 +438,12 @@ def test_memory_exhaustion_exits_1_with_one_line(tmp_path, argv):
 def test_huge_run_count_starts_without_listing_its_blocks():
     """``runs = 10**12`` makes 5 * 10**10 blocks, made as they are handed
     out: the third block reaches ``_run_block`` within 10 s under a 1 GiB
-    address-space cap, where listing them first had not ended by then.
-    The child interpreter stops at a marker raised by that third call, so
-    nothing is allocated here."""
+    address-space cap, where listing them first had not ended by then; so
+    do 2**31 and 10**15 runs.  The child interpreter stops at a marker
+    raised by that third call, so nothing is allocated here."""
     pytest.importorskip("resource")
     code = textwrap.dedent("""
-        import resource
+        import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
         from dataclasses import replace
         import gslms.harness as harness
@@ -453,13 +461,15 @@ def test_huge_run_count_starts_without_listing_its_blocks():
             return run_block(task)
 
         harness._run_block = third_raises
-        cfg = replace(builtin_config("exp1"), runs=10**12, iterations=10)
+        cfg = replace(builtin_config("exp1"), runs=int(sys.argv[1]), iterations=10)
         try:
             harness.run_experiment(cfg, workers=1)
         except Marker:
             print("marker", seen)
     """)
-    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(OPENBLAS_NUM_THREADS="1"),
-                          capture_output=True, text=True, timeout=10)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "marker [(0, 20), (20, 20), (40, 20)]\n"
+    for runs in HUGE_COUNTS.values():
+        proc = subprocess.run([sys.executable, "-c", code, str(runs)],
+                              env=_child_env(OPENBLAS_NUM_THREADS="1"),
+                              capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, (runs, proc.stderr)
+        assert proc.stdout == "marker [(0, 20), (20, 20), (40, 20)]\n", runs

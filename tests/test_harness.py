@@ -814,10 +814,12 @@ _C = gslms.harness.CHUNK_STEPS
 
 
 @pytest.mark.parametrize("variable", [False, True], ids=["fixed", "vp"])
-@pytest.mark.parametrize("rows", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1])
+@pytest.mark.parametrize("rows", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1, 40 * _C + 77])
 def test_csv_slices_write_the_one_shot_bytes(tmp_path, rows, variable):
-    """The CSV writer's ``CHUNK_STEPS``-row slices join into the bytes of
-    one whole-curve write, on both sides of every slice boundary."""
+    """The CSV writer's ``CHUNK_STEPS``-row slices, each with its own
+    iteration and dB values, join into the bytes of one whole-curve write,
+    whole-column ``msd_db`` included, on both sides of every slice
+    boundary."""
     curve = _special_curve(rows, variable)
     path = tmp_path / "c.csv"
     gslms.harness._write_csv(str(path), curve)
@@ -840,14 +842,15 @@ def _traced_peak(fn, *args):
 
 
 def test_csv_writer_holds_one_slice_of_rows(tmp_path):
-    """A 200,000-row VP curve is written under a 6 MB traced peak: its
-    iteration and dB columns (3.2 MB) and Python objects for one slice of
-    rows, not a list of every value of a column at once (37 MB)."""
+    """A 200,000-row VP curve is written under a 1 MB traced peak: one
+    slice's iteration and dB values and Python objects, not full-length
+    iteration and dB columns (3.2 MB) or a list of every value of a column
+    at once (37 MB)."""
     rng = np.random.default_rng(1)
     curve = LearningCurve(name="vp", msd=rng.random(200_000), mu_trace=rng.random(200_000),
                           lambda_trace=rng.random(200_000), metadata={})
     _, peak = _traced_peak(gslms.harness._write_csv, str(tmp_path / "vp.csv"), curve)
-    assert peak < 6e6
+    assert peak < 1e6
 
 
 def test_run_experiment_holds_one_results_array():

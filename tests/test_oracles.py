@@ -1,7 +1,8 @@
 """Unit tests for the brute-force oracles (grid search, finite differences,
 ensemble moment estimation, recursion validation)."""
 
-import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +20,13 @@ import gslms.oracles
 from gslms.oracles import (
     EnsembleMoments,
     _EnsemblePass,
-    _member_samples,
+    _attractor_matrix,
     ensemble_moments,
     finite_diff_subgradient,
     grid_minimize_quadratic,
     validate_model_recursion,
 )
-from gslms.signals import AR1GaussianMixture, WhiteGaussian, benchmark_plants
+from gslms.signals import AR1GaussianMixture, WhiteGaussian, benchmark_plants, stationary_power
 from gslms.varparam import MomentEstimates, solve_optimal_params
 
 
@@ -271,42 +272,166 @@ def test_validation_deterministic_in_seed():
     assert np.array_equal(a.trq, b.trq)
 
 
-# SHA-256 of the (8, 300) AR(1) ensemble drawn from default_rng(2024) as
-# computed by scipy.signal.lfilter along axis 1, before the oracle's own
-# loop over time replaced it.  The loop must reproduce those bits exactly.
-MEMBER_DIGESTS = {
-    0.5: "2dd8ffad4fd27a906169c02a24b230432708520a29a328a6bc900984a6fb5975",
-    -0.7: "a3b811d158ce577c321ea16d58721813c09cd254e60c115270828051d5188b6d",
-}
+def _innovations(model, rng, ensemble):
+    """One step of every member's AR(1)-mixture innovation v_t: E uniforms
+    pick the signs of the mixture means, then E normals."""
+    sd = math.sqrt(model.sigma_v2)
+    signs = np.where(rng.random(ensemble) < 0.5, -1.0, 1.0)
+    return model.a * sd * signs + rng.normal(0.0, sd, size=ensemble)
 
 
-@pytest.mark.parametrize("alpha", sorted(MEMBER_DIGESTS))
-def test_member_samples_ar1_bits_match_lfilter_record(alpha):
-    x = _member_samples(AR1GaussianMixture(alpha=alpha), 8, 300, np.random.default_rng(2024))
-    assert x.shape == (8, 300) and x.dtype == np.float64
-    assert hashlib.sha256(x.tobytes()).hexdigest() == MEMBER_DIGESTS[alpha]
+@pytest.mark.parametrize("alpha", [0.5, -0.7])
+def test_streamed_ar1_inputs_follow_the_scalar_recursion(alpha):
+    """After the 1000-step burn-in, each member's streamed input is
+    x_t = v_t + alpha x_{t-1} from x_{-1} = 0, over innovations drawn step
+    by step from the input generator, whatever blocks it is drawn in."""
+    model, ensemble, steps, seed = AR1GaussianMixture(alpha=alpha), 8, 300, 2024
+    run = _EnsemblePass(benchmark_plants()[0], model, _lms_config(), 0.01, steps, ensemble, seed)
+    streamed = np.concatenate([run._inputs(count) for count in (1, 7, 92, 200)])
+    assert streamed.shape == (steps, ensemble) and streamed.dtype == np.float64
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
+    v = [_innovations(model, rng, ensemble).tolist() for _ in range(1000 + steps)]
+    for m in range(ensemble):
+        x, xs = 0.0, []
+        for v_t in v:
+            x = v_t[m] + alpha * x
+            xs.append(x)
+        assert streamed[:, m].tolist() == xs[1000:], m
+
+
+def _step_major_inputs(model, ensemble, steps, rng):
+    """(steps, E) inputs drawn step-major: white normals in one call, or the
+    AR(1) mixture step by step after its 1000-step burn-in."""
+    if isinstance(model, WhiteGaussian):
+        return rng.normal(0.0, math.sqrt(model.variance), size=(steps, ensemble))
+    x = np.empty((1000 + steps, ensemble))
+    prev = np.zeros(ensemble)
+    for t in range(1000 + steps):
+        x[t] = _innovations(model, rng, ensemble)
+        x[t] += model.alpha * prev
+        prev = x[t]
+    return x[1000:]
+
+
+def _reference_pass(plant, model, cfg, sigma_z2, steps, ensemble, seed, w_init=None):
+    """The ensemble as one (L, E) block: the full step-major input and noise
+    from the oracle's two generators, every step sampled with the oracle's
+    kernels in their order.  Returns the (steps, 5, E) moment samples and
+    the (steps + 1, E) squared weight errors."""
+    L = cfg.L
+    x_rng, z_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    xr = np.zeros((steps + L - 1, ensemble))
+    xr[:steps] = _step_major_inputs(model, ensemble, steps, x_rng)[::-1]
+    z = z_rng.normal(0.0, math.sqrt(sigma_z2), size=(steps, ensemble))
+    w0 = np.zeros(L) if w_init is None else w_init
+    Wt = np.broadcast_to((w0 - plant)[:, None], (L, ensemble)).copy()
+    P = np.broadcast_to(plant[:, None], (L, ensemble)).copy()
+    g_floor = sigma_z2 * (L * stationary_power(model))
+    samples = np.zeros((steps, 5, ensemble))
+    trq = np.empty((steps + 1, ensemble))
+    np.einsum("lt,lt->t", Wt, Wt, out=trq[0])
+    a = np.empty(ensemble)
+    for t in range(steps):
+        U = xr[steps - 1 - t:steps - 1 - t + L]
+        np.einsum("lt,lt->t", Wt, U, out=a)
+        g, h, ell, r1, r2 = samples[t]
+        np.multiply(a, a, out=r1)
+        np.einsum("lt,lt->t", U, U, out=g)
+        g *= r1
+        g += g_floor
+        if cfg.mode is not None:
+            BS = _attractor_matrix(Wt + P, cfg.partition, cfg.mode, np.empty((L, ensemble)))
+            np.einsum("lt,lt->t", BS, BS, out=h)
+            np.einsum("lt,lt->t", U, BS, out=ell)
+            ell *= a
+            np.einsum("lt,lt->t", BS, Wt, out=r2)
+        e = np.subtract(z[t], a, out=a)
+        e *= cfg.mu
+        Wt += e * U
+        if cfg.mode is not None and cfg.rho != 0.0:
+            Wt -= BS * cfg.rho
+        np.einsum("lt,lt->t", Wt, Wt, out=trq[t + 1])
+    return samples, trq
+
+
+def _three_configs():
+    gza = FilterConfig(L=35, partition=GroupPartition.contiguous(35, 5),
+                       mode=AttractorMode("gza"), mu=0.005, rho=1e-4)
+    return {"lms": _lms_config(mu=0.005), "gza": gza, "grza": _grza_config(mu=0.005, rho=1e-4)}
+
+
+REFERENCE_ENSEMBLE, REFERENCE_HORIZON = 45, 13  # 13 steps: a block of 8 and a partial one
+
+
+@pytest.mark.parametrize("tag", ["lms", "gza", "grza"])
+def test_validation_matches_the_whole_ensemble_reference(tag):
+    plant, cfg = benchmark_plants()[0], _three_configs()[tag]
+    report = validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
+                                      horizon=REFERENCE_HORIZON, ensemble=REFERENCE_ENSEMBLE,
+                                      seed=8)
+    samples, trq = _reference_pass(plant, WhiteGaussian(1.0), cfg, 0.01, REFERENCE_HORIZON,
+                                   REFERENCE_ENSEMBLE, 8)
+    g, h, ell, r1, r2 = np.stack([s.mean(axis=1) for s in samples], axis=1)
+    mu, rho = cfg.mu, cfg.rho
+    model_inc = (mu * mu * g + rho * rho * h + 2.0 * mu * rho * ell
+                 - 2.0 * mu * r1 - 2.0 * rho * r2)
+    assert np.array_equal(report.trq, [row.mean() for row in trq])
+    assert np.array_equal(report.model_increments, model_inc)
+    assert np.array_equal(report.ensemble_increments, np.diff(report.trq))
+
+
+@pytest.mark.parametrize("model", [WhiteGaussian(1.0), AR1GaussianMixture()], ids=["white", "ar1"])
+@pytest.mark.parametrize("tag", ["lms", "gza", "grza"])
+def test_ensemble_moments_match_the_whole_ensemble_reference(tag, model):
+    plant, cfg, n = benchmark_plants()[0], _three_configs()[tag], REFERENCE_HORIZON
+    m = ensemble_moments(plant, model, cfg, sigma_z2=0.01, n=n, ensemble=REFERENCE_ENSEMBLE,
+                         seed=9, w_init=0.5 * plant)
+    samples, _ = _reference_pass(plant, model, cfg, 0.01, n + 1, REFERENCE_ENSEMBLE, 9,
+                                 w_init=0.5 * plant)
+    means = samples[n].mean(axis=1).tolist()
+    ses = (samples[n].std(axis=1, ddof=1) / math.sqrt(REFERENCE_ENSEMBLE)).tolist()
+    assert m == EnsembleMoments(*means, *ses, ensemble=REFERENCE_ENSEMBLE)
+
+
+def test_ensemble_moments_memory_does_not_grow_with_the_horizon():
+    """The pass holds one block of input and noise, so its traced peak at
+    n = 5000 is that at n = 50; holding the whole history of 200 members
+    would add about 3 x 200 x 4950 x 8 B = 24 MB."""
+    plant = benchmark_plants()[0]
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            ensemble_moments(plant, WhiteGaussian(1.0), _grza_config(mu=0.005, rho=1e-4),
+                             sigma_z2=0.01, n=n, ensemble=200, seed=10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50)  # one-time allocations stay out of both peaks
+    short, long = peak(50), peak(5000)
+    assert long <= short + 64 * 1024, (short, long)
 
 
 # Both default ``gslms validate-model`` cases and one ensemble_moments call
-# from a non-zero start, recorded from the einsum-over-strided-windows
-# implementation this one replaced (ensemble 300, horizon 30, seed 2026;
-# moments: n=20, ensemble 300, seed 77).  The contiguous-row dot products
-# sum in another order, so the last bits may move; rtol=1e-9 leaves room for
-# that drift (about 1e-13 measured) and nothing else.
+# from a non-zero start (ensemble 300, horizon 30, seed 2026; moments: n=20,
+# ensemble 300, seed 77), recorded from the step-major streamed pass once
+# the whole-ensemble reference tests above matched it bit for bit.
+# rtol=1e-9 leaves room for the last bits of another summation order in a
+# future kernel (about 1e-13 measured) and nothing else.
 PINNED_TRQ = {
-    "lms": [2.2975, 2.2909972590158536, 2.282424536246498, 2.2752507185376967, 2.265886028862154, 2.2578044725963147, 2.248985033301062, 2.2410604632403097, 2.2311799103904773, 2.2217596989253217, 2.2135398900219068, 2.2045170186880356, 2.196098132343535, 2.1866095910768863, 2.177345563977119, 2.169084385118747, 2.1607362289138146, 2.1528094439289847, 2.1444881570386074, 2.136911941017815, 2.129224170323659, 2.120548660556015, 2.1114187289319792, 2.101892249274715, 2.0929272091140523, 2.082138593523244, 2.0716142072741985, 2.061382528495537, 2.049824366355549, 2.0384314049817918, 2.0275601287033624],
-    "grza": [2.2975, 2.2909972590158536, 2.2838344913895816, 2.2778007433427208, 2.269786297523368, 2.262989658310787, 2.255419899678434, 2.248697150516324, 2.2400148227753696, 2.231761484197516, 2.2246804880459226, 2.2167485439700987, 2.2093770713332828, 2.2008860921998377, 2.19258340119102, 2.1852593878848645, 2.177806759639639, 2.1707215167762284, 2.1631949694552257, 2.156402997553874, 2.149454231471518, 2.1414860275623724, 2.133012581541766, 2.1241253838798166, 2.1158046151531194, 2.1057194226551132, 2.095933767742265, 2.086477117270984, 2.075728238585087, 2.065149309262129, 2.0551410217739843],
+    "lms": [2.2975, 2.2915990287024752, 2.2823732407389405, 2.2723349230173095, 2.2619206438674624, 2.251522533830588, 2.2413758506366555, 2.232661085668744, 2.22485437063872, 2.2158820242994115, 2.206472158862903, 2.197702455064001, 2.1900231266356003, 2.1808288530455773, 2.1708645629708605, 2.1618661998572772, 2.1530717046822057, 2.1444464349082177, 2.136814458468331, 2.128797332559759, 2.1205415416348643, 2.111275190346912, 2.1028810540000484, 2.0946002289333183, 2.086517962127383, 2.0751903827823273, 2.0633109272987418, 2.0529688290812818, 2.042325249293061, 2.031775077701427, 2.021677563678176],
+    "grza": [2.2975, 2.2915990287024752, 2.283809840471848, 2.2749675954093656, 2.2659141876922977, 2.2567905462242597, 2.2478606717821936, 2.240342613475314, 2.2337349730134903, 2.2259219348072894, 2.2176276450081467, 2.209933477702305, 2.203300238541635, 2.1950836498523594, 2.1860314404745904, 2.1779101636208673, 2.1699649247851807, 2.1621385869129615, 2.15529837903736, 2.1480341953371918, 2.1404834056093165, 2.1318794672925945, 2.124111163358216, 2.1164664369743242, 2.1090203439628508, 2.098333031768553, 2.087201655641826, 2.0777211972418757, 2.0678960205939, 2.0582158741105947, 2.0489971697445],
 }
 PINNED_MODEL_INCREMENTS = {
-    "lms": [-0.006489479599899086, -0.008551049198892366, -0.007125901103126901, -0.009339771250908313, -0.008110114598939242, -0.008805927287766541, -0.007874138955684208, -0.009867149551893174, -0.009475211538179694, -0.008214431129498849, -0.008968972778165581, -0.008516935905048685, -0.009496699723485508, -0.00935005153967149, -0.008292683628371692, -0.008338958092627885, -0.007901570164435476, -0.008382818697396164, -0.007655110067319702, -0.007665539073040374, -0.008676729367234907, -0.009047160858926557, -0.009595642226029374, -0.008927535346315043, -0.01077198559657673, -0.010487904559518623, -0.010275210200612174, -0.011526061313888343, -0.011467172626381292, -0.010871699802647313],
-    "grza": [-0.006489479599899086, -0.007141043777941097, -0.005985763044910341, -0.007989549617801605, -0.006825293464511956, -0.0075560572701115535, -0.006672063231360057, -0.00866919875802873, -0.008309007475047012, -0.007075485658025519, -0.007877998931599262, -0.007470021440814391, -0.008499366954128373, -0.008389674707694169, -0.007355683488034565, -0.007443945316377489, -0.007059928268256958, -0.007588151412170901, -0.006872402248988906, -0.006926599342927723, -0.00796874739708665, -0.008389032545238194, -0.008957379809055144, -0.008283696928260644, -0.010070630376445878, -0.009749795282137477, -0.009498532690732787, -0.010717145886191826, -0.010653532764603926, -0.010005465223483397],
+    "lms": [-0.005823239344707465, -0.00930736498005911, -0.010148203697455178, -0.010445167595829896, -0.01041410066539246, -0.010080052333375784, -0.008654004044484988, -0.007786396168818354, -0.008973915572807025, -0.009401025338467546, -0.008789283871118337, -0.0076461509407521186, -0.009143788794740253, -0.01000317814902846, -0.009034743683253644, -0.00878059665005094, -0.008591272795141557, -0.00764931586421062, -0.007975937619963765, -0.008248216982247732, -0.00924158804703686, -0.008408446772472085, -0.008229548736419843, -0.007982178957372474, -0.0112901347759447, -0.011869797003908323, -0.01041274667063621, -0.010597414472175442, -0.010526341467197125, -0.010132865612697538],
+    "grza": [-0.005823239344707465, -0.00787090833731938, -0.00895234696518324, -0.009084493786688899, -0.009139735272911122, -0.008863053387525082, -0.007457093513987229, -0.006587266857996389, -0.007814818330407404, -0.008285723607881953, -0.00771366622074382, -0.006599638189033975, -0.008166745184725948, -0.009091047338985248, -0.008157755433195248, -0.007931443763865113, -0.007793126934501257, -0.006857333303023015, -0.0072225481479320005, -0.007542964744440244, -0.008578708894141493, -0.0077832255645670385, -0.0075908786996805545, -0.007346706197840056, -0.010649364627441007, -0.011122029387808739, -0.00955034927637363, -0.009780464300407217, -0.009657031072956424, -0.009257074264365991],
 }
-PINNED_MAX_REL_DEVIATION = {"lms": 0.011512304617655164, "grza": 0.013192573110971433}
+PINNED_MAX_REL_DEVIATION = {"lms": 0.013348575975643456, "grza": 0.013528077883751497}
 PINNED_MOMENTS = dict(
-    g=0.7366267820062514, h=155.19376299219513, ell=1.1131738906438726,
-    r1=0.016902734038019115, r2=1.5896922891536414, g_se=0.03939250946077148,
-    h_se=0.23317876044814778, ell_se=0.1104003149867938, r1_se=0.0014479074490060919,
-    r2_se=0.0019476406217359653,
+    g=0.7533087724537084, h=155.05444021213864, ell=1.1685269899845812, r1=0.0181148665958092,
+    r2=1.5909286443593664, g_se=0.036347843516494754, h_se=0.19640552928423163,
+    ell_se=0.1000126842982687, r1_se=0.001319289886836933, r2_se=0.0016594090168826061,
 )
 
 
@@ -404,22 +529,28 @@ def test_no_tile_is_narrower_than_two_members(monkeypatch, ensemble):
         assert tiled_moments == moments, tile
 
 
-def test_regressor_rows_are_the_reversed_sliding_windows(monkeypatch):
-    L, steps, ensemble, seed = 35, 40, 7, 13
+def test_each_step_reads_the_reversed_sliding_window(monkeypatch):
+    """Block by block, step t reads the reversed, zero-padded window of the
+    last L streamed inputs as one C-contiguous (L, T) block of its tile."""
+    L, steps, ensemble, seed, model = 35, 40, 7, 13, AR1GaussianMixture()
     monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", 3)  # tiles of 2, 2 and 3 members
-    run = _EnsemblePass(benchmark_plants()[0], AR1GaussianMixture(), _lms_config(), 0.01,
-                        steps, ensemble, seed)
+    run = _EnsemblePass(benchmark_plants()[0], model, _lms_config(), 0.01, steps, ensemble, seed)
     x_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-    x = _member_samples(AR1GaussianMixture(), ensemble, steps, x_rng)
-    padded = np.concatenate([np.zeros((ensemble, L - 1)), x], axis=1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=1)
+    x = _step_major_inputs(model, ensemble, steps, x_rng)
+    padded = np.concatenate([np.zeros((L - 1, ensemble)), x])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)  # (steps, E, L)
     assert run._spans == [(0, 2), (2, 4), (4, 7)]
-    for (lo, hi), xr in zip(run._spans, run._xr):
-        for t in range(steps):
-            U = xr[steps - 1 - t:][:L]  # the block advance() reads at step t
-            assert U.shape == (L, hi - lo) and U.flags.c_contiguous
-            for j in range(hi - lo):
-                assert np.array_equal(U[:, j], windows[lo + j, t, ::-1]), (t, lo + j)
+    t = 0
+    for count in (3, 8, 1, 8, 5, 8, 7):  # blocks of the full and of fewer steps
+        run.advance(count)
+        for (lo, hi), xr in zip(run._spans, run._xr):
+            for k in range(count):
+                U = xr[count - 1 - k:count - 1 - k + L]  # the block advance() reads at step t + k
+                assert U.shape == (L, hi - lo) and U.flags.c_contiguous
+                for j in range(hi - lo):
+                    assert np.array_equal(U[:, j], windows[t + k, lo + j, ::-1]), (t + k, lo + j)
+        t += count
+    assert t == steps
 
 
 def test_lms_attractor_moments_are_exactly_zero():
