@@ -38,7 +38,10 @@ def _add_override_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--runs", type=int, help="override the number of Monte-Carlo runs")
     sub.add_argument("--iterations", type=int, help="override the iteration count")
     sub.add_argument("--seed", type=int, help="override the master seed")
-    sub.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
+    # the CPUs this process may run on, or the host's where the OS does not say
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    sub.add_argument("--workers", type=int, default=cpus,
+                     help="worker processes (default: the usable CPUs, %(default)s here)")
     sub.add_argument("--output-dir", help="directory for result files")
     sub.add_argument("--format", choices=("csv", "json"), help="curve file format")
 

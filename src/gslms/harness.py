@@ -63,10 +63,6 @@ class LearningCurve:
         if np.any(self.msd < 0):
             raise ValueError("linear MSD cannot be negative")
 
-    @property
-    def msd_db(self) -> np.ndarray:
-        return _db(self.msd)
-
 
 def _db(msd: np.ndarray) -> np.ndarray:
     """``msd`` in dB; a 0 reads ``-inf`` without a warning."""
@@ -204,7 +200,7 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
                 e = d[i] - row_dot(w, u)
                 if attracting:
                     # Looked up on ``groups`` so a wrapper there (a call-count
-                    # test's, a benchmark span) sees every evaluation.
+                    # test's) sees every evaluation.
                     groups._attractor_rows(w_attract, partition, cfg.epsilon, grza,
                                            out=beta_s_attract)
                 if V:
@@ -339,7 +335,7 @@ def stage_windows(schedule: PlantSchedule) -> list[tuple[int, int]]:
 def steady_state_db(msd: np.ndarray, schedule: PlantSchedule) -> list[float]:
     """Per-stage steady-state MSD in dB (mean of each stage's final window)."""
     return [
-        float(10.0 * np.log10(np.mean(msd[lo:hi])))
+        float(_db(np.mean(msd[lo:hi])))
         for lo, hi in stage_windows(schedule)
     ]
 

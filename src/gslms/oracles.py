@@ -36,7 +36,7 @@ from .varparam import MomentEstimates
 TILE_MEMBERS = 1024
 # Most steps of one block.  A block draws (BLOCK_STEPS, E) inputs and noise,
 # and a sampled one keeps each step's per-member samples, (BLOCK_STEPS, 6, E)
-# doubles, until the caller has reduced them.
+# doubles, until the block has reduced them to their ensemble means.
 BLOCK_STEPS = 8
 
 
@@ -137,8 +137,8 @@ class _EnsemblePass:
     The members are split into near-equal tiles of at most TILE_MEMBERS,
     and every tile is stored taps x members, so the member axis has unit
     stride: (L, T) weight-error rows and a rolling (K + L - 1, T) window of
-    the time-reversed input (one column per member), K = min(BLOCK_STEPS,
-    steps).  The input and the noise are drawn step-major, (count, E) per
+    the time-reversed input (one column per member), K = BLOCK_STEPS.  The
+    input and the noise are drawn step-major, (count, E) per
     block from the two generators spawned from the seed, and an AR(1)
     member's state carries from block to block, so the draws depend neither
     on the tiles nor on the block length, and no more than a block of them
@@ -156,9 +156,9 @@ class _EnsemblePass:
     before the next tile.  A sampled block also writes each member's five
     moment samples at its k-th step into the (K, 5, E) buffer samples[k]
     and its squared weight error after that update into the (K, E) buffer
-    trq_rows[k]; before the first sampled block trq_rows[0] holds the
-    initial squared weight errors.  Callers reduce over the full (E,) rows,
-    so no result depends on the tiles or the block length.
+    trq_rows[k], and reduces them over the full (E,) rows, so no result
+    depends on the tiles or the block length.  trq0 is the mean squared
+    weight error at the start.
     """
 
     def __init__(
@@ -167,7 +167,6 @@ class _EnsemblePass:
         input_model,
         cfg: FilterConfig,
         sigma_z2: float,
-        steps: int,
         ensemble: int,
         seed: int,
         w_init: np.ndarray | None = None,
@@ -189,7 +188,7 @@ class _EnsemblePass:
         if self._x_prev is not None:
             for _ in range(1000):  # burn-in
                 self._ar1_step()
-        self._block = min(BLOCK_STEPS, steps)
+        self._block = BLOCK_STEPS
         # rows g, h, ell, r1, r2; an LMS pass never writes h, ell or r2,
         # which are exactly 0 without an attractor
         self.samples = np.zeros((self._block, 5, ensemble))
@@ -205,8 +204,7 @@ class _EnsemblePass:
         self._plant = np.broadcast_to(plant[:, None], (L, width)).copy()
         self.cfg = cfg
         self.g_floor = sigma_z2 * (L * stationary_power(input_model))  # sigma_z2 tr{R_u}
-        for (lo, hi), Wt in zip(self._spans, self._wt):
-            np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[0, lo:hi])
+        self.trq0 = np.concatenate([np.einsum("lt,lt->t", Wt, Wt) for Wt in self._wt]).mean()
         self._a = np.empty(width)
         self._scratch = np.empty(L * width)
         self._bs = np.empty(L * width) if cfg.mode is not None else None
@@ -227,16 +225,19 @@ class _EnsemblePass:
             return self._x_rng.normal(0.0, self._x_sd, size=(count, self._ensemble))
         return np.stack([self._ar1_step() for _ in range(count)])
 
-    def advance(self, count: int, sample: bool = False) -> None:
+    def advance(self, count: int, sample: bool = False):
         """Apply the filter updates of the next count steps to every member,
-        in blocks of at most K steps, tile by tile.  With sample, which takes
-        one block (count <= K), first take the five moment samples at each
-        step k, and after its update each member's squared weight error,
-        into row k of samples and trq_rows.  The attractor is evaluated only
-        when the samples or the update read it."""
+        in blocks of at most K steps, tile by tile.  With sample, also take
+        the five moment samples at each step and, after its update, each
+        member's squared weight error, and return their ensemble means: the
+        (5, count) rows g, h, ell, r1, r2 and the (count,) mean squared
+        weight errors.  The attractor is evaluated only when the samples or
+        the update read it."""
         cfg, L = self.cfg, self.cfg.L
         attract = cfg.mode is not None and (sample or cfg.rho != 0.0)
         shrink = cfg.mode is not None and cfg.rho != 0.0
+        if sample:
+            means, trq = np.empty((5, count)), np.empty(count)
         for done in range(0, count, self._block):
             steps = min(self._block, count - done)
             x = self._inputs(steps)
@@ -272,6 +273,12 @@ class _EnsemblePass:
                         Wt -= np.multiply(BS, cfg.rho, out=S)
                     if sample:
                         np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[k, lo:hi])
+            if sample:
+                means[:, done:done + steps] = self.samples[:steps].mean(axis=2).T
+                trq[done:done + steps] = self.trq_rows[:steps].mean(axis=1)
+            del x, z  # so the next block's draws are not made beside these
+        if sample:
+            return means, trq
 
 
 def ensemble_moments(
@@ -290,15 +297,14 @@ def ensemble_moments(
     steps from w_init (zeros by default), then evaluates the moment
     expectations with the true weight error w_n - plant.
     """
-    run = _EnsemblePass(plant, input_model, cfg, sigma_z2, n + 1, ensemble, seed, w_init)
+    run = _EnsemblePass(plant, input_model, cfg, sigma_z2, ensemble, seed, w_init)
     # a diverging ensemble overflows to inf and nan; its standard errors
     # then fail EnsembleMoments' check, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         run.advance(n)
-        run.advance(1, sample=True)  # its update goes unread
-        means = run.samples[0].mean(axis=1).tolist()
+        means, _ = run.advance(1, sample=True)  # its update goes unread
         ses = (run.samples[0].std(axis=1, ddof=1) / math.sqrt(ensemble)).tolist()
-    return EnsembleMoments(*means, *ses, ensemble=ensemble)
+    return EnsembleMoments(*means[:, 0].tolist(), *ses, ensemble=ensemble)
 
 
 @dataclass(frozen=True)
@@ -354,20 +360,12 @@ def validate_model_recursion(
     """
     if not isinstance(input_model, WhiteGaussian):
         raise TypeError("model validation is defined for white Gaussian input only")
-    run = _EnsemblePass(plant, input_model, cfg, sigma_z2, horizon, ensemble, seed)
+    run = _EnsemblePass(plant, input_model, cfg, sigma_z2, ensemble, seed)
     # a diverging case overflows to inf and nan; its deviation reads NaN,
     # which fails the tolerance, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
-        means = np.empty((5, horizon))  # rows g, h, ell, r1, r2
-        trq = np.empty(horizon + 1)
-        trq[0] = run.trq_rows[0].mean()
-        for t0 in range(0, horizon, BLOCK_STEPS):
-            count = min(BLOCK_STEPS, horizon - t0)
-            run.advance(count, sample=True)
-            for k, t in enumerate(range(t0, t0 + count)):
-                means[:, t] = run.samples[k].mean(axis=1)
-                trq[t + 1] = run.trq_rows[k].mean()
-        g, h, ell, r1, r2 = means
+        (g, h, ell, r1, r2), trq = run.advance(horizon, sample=True)
+        trq = np.concatenate(([run.trq0], trq))
         mu, rho = cfg.mu, cfg.rho
         model_inc = (
             mu * mu * g + rho * rho * h + 2.0 * mu * rho * ell

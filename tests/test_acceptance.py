@@ -416,8 +416,9 @@ def test_criterion_6_correlated_input_benchmark(capsys):
 # ---------------------------------------------------------------------------
 # Criterion 7: the first built-in benchmark emits bit-identical files no
 # matter how many worker processes split the Monte-Carlo runs.  Exercised at
-# a reduced scale (4 runs x 2000 iterations) that still covers the
-# worker-count sweep 1..8 and every output file.
+# a reduced scale (45 runs x 1000 iterations) that still covers the
+# worker-count sweep 1..8 and every output file: 45 runs are three blocks of
+# 15, so every worker count above 1 hands them to a process pool.
 
 
 def test_criterion_7_worker_determinism(capsys, tmp_path):
@@ -428,7 +429,7 @@ def test_criterion_7_worker_determinism(capsys, tmp_path):
         env = {k: v for k, v in os.environ.items() if k != "GSLMS_OUTPUT_DIR"}
         subprocess.run(
             [sys.executable, "-m", "gslms.cli", "paper-exp1",
-             "--runs", "4", "--iterations", "2000",
+             "--runs", "45", "--iterations", "1000",
              "--workers", str(workers), "--output-dir", str(out)],
             check=True, capture_output=True, env=env,
         )

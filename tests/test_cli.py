@@ -48,6 +48,22 @@ def test_workers_below_one_rejected_before_running(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def _default_workers():
+    return gslms.cli.build_parser().parse_args(["paper-exp1"]).workers
+
+
+def test_workers_default_to_the_usable_cpus(monkeypatch):
+    """The CPUs the process may run on where the OS says, otherwise the
+    host's count, otherwise 1."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _default_workers() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _default_workers() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _default_workers() == 1
+
+
 def test_validate_model_horizon_below_one_rejected(capsys):
     rc, out, err = _rejected(capsys, ["validate-model", "--horizon", "0"])
     assert rc == 2

@@ -98,9 +98,10 @@ def test_master_seed_changes_results():
 
 
 def test_worker_count_invariance():
-    """Partial sums merge in run-index order, so workers cannot change bits."""
+    """Partial sums merge in run-index order, so workers cannot change bits.
+    45 runs are three blocks, so two workers take them in a process pool."""
     cfg = _small_cfg(
-        runs=4,
+        runs=45,
         algorithms=(
             AlgorithmSpec(name="lms", mu=0.02),
             AlgorithmSpec(name="vp-gza", mode="gza", variable=True),
@@ -803,7 +804,7 @@ def _one_shot_csv(curve):
     """``curve``'s CSV text written whole: ``repr`` of every value, joined by
     "," and "\n"."""
     names = ["iter", "msd_linear", "msd_db"]
-    cols = [range(1, curve.msd.size + 1), curve.msd.tolist(), curve.msd_db.tolist()]
+    cols = [range(1, curve.msd.size + 1), curve.msd.tolist(), gslms.harness._db(curve.msd).tolist()]
     if curve.mu_trace is not None:
         names += ["mu", "lambda"]
         cols += [curve.mu_trace.tolist(), curve.lambda_trace.tolist()]

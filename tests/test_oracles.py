@@ -272,6 +272,26 @@ def test_validation_deterministic_in_seed():
     assert np.array_equal(a.trq, b.trq)
 
 
+def test_zero_horizon_gives_an_empty_report():
+    """No steps: trq holds only the initial mean squared deviation, every
+    per-step array is empty and the largest deviation reads 0.  Moments at
+    n = 0 are those of the first step of the whole-ensemble reference."""
+    plant, cfg = benchmark_plants()[0], _grza_config(mu=0.005, rho=1e-4)
+    report = validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
+                                      horizon=0, ensemble=100, seed=1)
+    _, trq = _reference_pass(plant, WhiteGaussian(1.0), cfg, 0.01, 0, 100, 1)
+    assert report.trq.tolist() == [trq[0].mean()]
+    for field in ("ensemble_increments", "model_increments", "rel_deviation"):
+        assert getattr(report, field).shape == (0,), field
+    assert report.max_rel_deviation == 0.0
+    assert report.to_dict()["rel_deviation"] == []
+    m = ensemble_moments(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01, n=0, ensemble=45,
+                         seed=9, w_init=0.5 * plant)
+    samples, _ = _reference_pass(plant, WhiteGaussian(1.0), cfg, 0.01, 1, 45, 9,
+                                 w_init=0.5 * plant)
+    assert m.g == samples[0, 0].mean() and m.r2 == samples[0, 4].mean()
+
+
 def _innovations(model, rng, ensemble):
     """One step of every member's AR(1)-mixture innovation v_t: E uniforms
     pick the signs of the mixture means, then E normals."""
@@ -286,7 +306,7 @@ def test_streamed_ar1_inputs_follow_the_scalar_recursion(alpha):
     x_t = v_t + alpha x_{t-1} from x_{-1} = 0, over innovations drawn step
     by step from the input generator, whatever blocks it is drawn in."""
     model, ensemble, steps, seed = AR1GaussianMixture(alpha=alpha), 8, 300, 2024
-    run = _EnsemblePass(benchmark_plants()[0], model, _lms_config(), 0.01, steps, ensemble, seed)
+    run = _EnsemblePass(benchmark_plants()[0], model, _lms_config(), 0.01, ensemble, seed)
     streamed = np.concatenate([run._inputs(count) for count in (1, 7, 92, 200)])
     assert streamed.shape == (steps, ensemble) and streamed.dtype == np.float64
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
@@ -534,7 +554,7 @@ def test_each_step_reads_the_reversed_sliding_window(monkeypatch):
     last L streamed inputs as one C-contiguous (L, T) block of its tile."""
     L, steps, ensemble, seed, model = 35, 40, 7, 13, AR1GaussianMixture()
     monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", 3)  # tiles of 2, 2 and 3 members
-    run = _EnsemblePass(benchmark_plants()[0], model, _lms_config(), 0.01, steps, ensemble, seed)
+    run = _EnsemblePass(benchmark_plants()[0], model, _lms_config(), 0.01, ensemble, seed)
     x_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
     x = _step_major_inputs(model, ensemble, steps, x_rng)
     padded = np.concatenate([np.zeros((L - 1, ensemble)), x])
