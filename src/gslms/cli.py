@@ -34,13 +34,16 @@ OUTPUT_DIR_ENV = "GSLMS_OUTPUT_DIR"
 DEFAULT_OUTPUT_DIR = "results"
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the host's where the OS does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _add_override_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--runs", type=int, help="override the number of Monte-Carlo runs")
     sub.add_argument("--iterations", type=int, help="override the iteration count")
     sub.add_argument("--seed", type=int, help="override the master seed")
-    # the CPUs this process may run on, or the host's where the OS does not say
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    sub.add_argument("--workers", type=int, default=cpus,
+    sub.add_argument("--workers", type=int, default=_usable_cpus(),
                      help="worker processes (default: the usable CPUs, %(default)s here)")
     sub.add_argument("--output-dir", help="directory for result files")
     sub.add_argument("--format", choices=("csv", "json"), help="curve file format")
@@ -129,13 +132,13 @@ def _cmd_validate(args) -> int:
                   args.rho if args.rho is not None else 0.0)]
     else:
         cases = [("lms", 0.005, 0.0), ("grza", 0.005, 1e-4)]
-    reports = []
+    reports, workers = [], _usable_cpus()
     for mode_tag, mu, rho in cases:
         mode = None if mode_tag == "lms" else AttractorMode(mode_tag, ExperimentConfig.epsilon)
         cfg = FilterConfig(plant.shape[0], partition, mode, mu=mu, rho=rho)
         reports.append(validate_model_recursion(
             plant, WhiteGaussian(1.0), cfg, args.sigma_z2,
-            args.horizon, args.ensemble, args.seed,
+            args.horizon, args.ensemble, args.seed, workers=workers,
         ))
     ok = all(r.max_rel_deviation <= args.tol for r in reports)
     if args.json:

@@ -238,6 +238,26 @@ def _run_block(args: tuple[ExperimentConfig, int, int]):
     return first, result
 
 
+def ordered_map(func, tasks: Iterator, count: int, workers: int) -> Iterator:
+    """``func`` over the ``count`` tasks, its results in task order: a plain
+    ``map`` for one task or one worker, otherwise ``imap`` over a pool of
+    ``min(workers, count)`` processes, which takes the tasks as it hands
+    them out.  The pool is closed once every result is read, and stopped
+    without running the tasks left if a task or the caller raises."""
+    if workers <= 1 or count == 1:
+        yield from map(func, tasks)
+        return
+    pool = multiprocessing.Pool(processes=min(workers, count))
+    try:
+        yield from pool.imap(func, tasks)
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
+
+
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurve]:
     """Average the configured algorithms over ``cfg.runs`` paired realizations.
 
@@ -260,28 +280,17 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
     diverged = [[] for _ in specs]
     power_sum = 0.0
 
-    n_blocks = _block_count(cfg.runs)
     tasks = ((cfg, first, count) for first, count in _blocks(cfg.runs))
-    if workers <= 1 or n_blocks == 1:
-        results = map(_run_block, tasks)
-        pool = None
-    else:
-        pool = multiprocessing.Pool(processes=min(workers, n_blocks))
-        results = pool.imap(_run_block, tasks)
-    try:
-        for first, (powers, block_sums, diverged_at) in results:
-            for power in powers:
-                power_sum += power
-            if sums is None:
-                sums = block_sums
-            else:
-                sums += block_sums
-            for a, r in zip(*np.nonzero(diverged_at >= 0)):
-                diverged[a].append([first + int(r), int(diverged_at[a, r])])
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    results = ordered_map(_run_block, tasks, _block_count(cfg.runs), workers)
+    for first, (powers, block_sums, diverged_at) in results:
+        for power in powers:
+            power_sum += power
+        if sums is None:
+            sums = block_sums
+        else:
+            sums += block_sums
+        for a, r in zip(*np.nonzero(diverged_at >= 0)):
+            diverged[a].append([first + int(r), int(diverged_at[a, r])])
 
     runs_used = [cfg.runs - len(runs) for runs in diverged]
     scale = np.array([1.0 / n if n else np.nan for n in runs_used])

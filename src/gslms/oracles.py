@@ -5,16 +5,17 @@ grid search, central finite differences, or a vectorized Monte-Carlo ensemble
 — so the analytic implementations elsewhere in the package can be checked
 against something that cannot share their bugs.  The ensemble simulator
 advances all weight-error trajectories with batched numpy expressions rather
-than reusing the per-sample filter loop.  It splits the members into
-near-equal tiles and stores each tile taps x members, so the member axis has
-unit stride: a step's regressors are one contiguous (L, T) block of the
-tile's rolling window of time-reversed inputs, and every kernel of the fused
-step runs along whole rows of members.  The input and the noise are drawn
-step-major one block of steps at a time, so the simulator's memory does not
-grow with the number of steps.  It advances a block tile by tile, all of one
-tile's steps before the next tile's, so a tile's weight errors and
-regressor window stay in cache from one step to the next.
-A block takes the per-member moment samples only when asked:
+than reusing the per-sample filter loop.  It splits the members into fixed
+near-equal leaves and simulates each leaf from start to finish on its own
+input and noise streams, stored taps x members, so the member axis has unit
+stride: a step's regressors are one contiguous (L, T) block of the leaf's
+rolling window of time-reversed inputs, and every kernel of the fused step
+runs along whole rows of members.  The input and the noise are drawn
+step-major one block of steps at a time, so a leaf's memory grows neither
+with the number of steps nor with the ensemble.  A leaf returns its per-step
+sums over its members, and the caller adds them in leaf order, so the leaves
+can run on any number of worker processes with the same result.  A leaf
+takes the per-member moment samples only when asked:
 validate_model_recursion samples every step and keeps only the per-step
 means, while ensemble_moments samples its final step alone.
 """
@@ -22,21 +23,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .filters import FilterConfig
 from .groups import ZERO_GROUP_TOL, GRZA, AttractorMode, GroupPartition, l12_norm
+from .harness import ordered_map
 from .signals import AR1GaussianMixture, WhiteGaussian, stationary_power
 from .varparam import MomentEstimates
 
-# Most members per tile of the fused ensemble step.  At L = 35 an (L, 1024)
-# float64 array is 280 KB, so a tile's regressor block, weight-error and
-# scratch rows stay in a core's L2 cache across the dozen kernels of one step.
+# Most members per leaf of the ensemble.  At L = 35 an (L, 1024) float64
+# array is 280 KB, so a leaf's regressor block, weight-error and scratch
+# rows stay in a core's L2 cache across the dozen kernels of one step.  Each
+# leaf draws from its own streams, so this size fixes the numbers.
 TILE_MEMBERS = 1024
-# Most steps of one block.  A block draws (BLOCK_STEPS, E) inputs and noise,
-# and a sampled one keeps each step's per-member samples, (BLOCK_STEPS, 6, E)
-# doubles, until the block has reduced them to their ensemble means.
+# Most steps of one block.  A block draws (BLOCK_STEPS, T) inputs and noise
+# for a leaf of T members, and a sampled one keeps each step's per-member
+# samples, (BLOCK_STEPS, 6, T) doubles, until it has summed them.
 BLOCK_STEPS = 8
 
 
@@ -131,34 +135,42 @@ def _attractor_matrix(
     return np.divide(W, np.repeat(safe, p.sizes, axis=0), out=out)
 
 
-class _EnsemblePass:
-    """Batched simulation of `ensemble` independent trajectories.
+def _leaf_count(ensemble: int) -> int:
+    return max(1, min(-(-ensemble // TILE_MEMBERS), ensemble // 2))
 
-    The members are split into near-equal tiles of at most TILE_MEMBERS,
-    and every tile is stored taps x members, so the member axis has unit
+
+def _leaves(ensemble: int) -> Iterator[tuple[int, int]]:
+    """Near-equal ``(index, members)`` leaves of at most TILE_MEMBERS
+    members, and of at least 2 where the ensemble has 2, made one at a time
+    (so a huge ensemble costs no memory up front); they depend on the
+    ensemble size alone.  A one-member leaf would be contiguous along the
+    taps, so einsum would take its dot kernel and sum in another order."""
+    count = _leaf_count(ensemble)
+    for k in range(count):
+        yield k, ensemble * (k + 1) // count - ensemble * k // count
+
+
+class _Leaf:
+    """Batched simulation of one leaf's T independent trajectories.
+
+    The members are stored taps x members, so the member axis has unit
     stride: (L, T) weight-error rows and a rolling (K + L - 1, T) window of
     the time-reversed input (one column per member), K = BLOCK_STEPS.  The
-    input and the noise are drawn step-major, (count, E) per
-    block from the two generators spawned from the seed, and an AR(1)
-    member's state carries from block to block, so the draws depend neither
-    on the tiles nor on the block length, and no more than a block of them
-    is ever held.  At the start of a block of count steps each window moves
-    its L - 1 latest inputs down to rows count to count+L-2 and takes the
-    block's inputs, latest first, in rows 0 to count-1, so step k of the
-    block reads its regressors as the contiguous rows count-1-k to
-    count-2-k+L; the window starts at zero, which is the zero padding
-    before the first step.  The plant is one (L, width) block of equal
-    columns, so each operand of the weight sum has unit stride.  No tile is
-    narrower than two members where the ensemble has two: a one-member tile
-    is contiguous along the taps, so einsum would take its dot kernel and
-    sum in another order.  advance() applies blocks of steps to each tile's
-    weight-error rows in place, running all of a tile's steps of a block
-    before the next tile.  A sampled block also writes each member's five
-    moment samples at its k-th step into the (K, 5, E) buffer samples[k]
-    and its squared weight error after that update into the (K, E) buffer
-    trq_rows[k], and reduces them over the full (E,) rows, so no result
-    depends on the tiles or the block length.  trq0 is the mean squared
-    weight error at the start.
+    input and the noise are drawn step-major, (count, T) per block of at
+    most K steps, from the leaf's own two generators,
+    ``SeedSequence(seed, spawn_key=(index,)).spawn(2)``, and an AR(1)
+    member's state carries from block to block, so the draws do not depend
+    on the block length, and no more than a block of them is ever held.
+    At the start of a block of count steps the window moves its L - 1
+    latest inputs down to rows count to count+L-2 and takes the block's
+    inputs, latest first, in rows 0 to count-1, so step k of the block
+    reads its regressors as the contiguous rows count-1-k to count-2-k+L;
+    the window starts at zero, which is the zero padding before the first
+    step.  The plant is one (L, T) block of equal columns, so each operand
+    of the weight sum has unit stride.  A sampled block also writes each
+    member's five moment samples at its k-th step into the (K, 5, T) buffer
+    samples[k] and its squared weight error after that update into the
+    (K, T) buffer trq_rows[k], and sums both over the members.
     """
 
     def __init__(
@@ -167,8 +179,9 @@ class _EnsemblePass:
         input_model,
         cfg: FilterConfig,
         sigma_z2: float,
-        ensemble: int,
+        members: int,
         seed: int,
+        index: int,
         w_init: np.ndarray | None = None,
     ):
         plant = np.asarray(plant, dtype=float)
@@ -178,107 +191,129 @@ class _EnsemblePass:
         if isinstance(input_model, WhiteGaussian):
             self._x_sd, self._x_prev = math.sqrt(input_model.variance), None
         elif isinstance(input_model, AR1GaussianMixture):
-            self._x_sd, self._x_prev = math.sqrt(input_model.sigma_v2), np.zeros(ensemble)
+            self._x_sd, self._x_prev = math.sqrt(input_model.sigma_v2), np.zeros(members)
         else:
             raise TypeError(f"unsupported input model {type(input_model).__name__}")
-        self._input_model, self._ensemble = input_model, ensemble
+        self._input_model, self._members = input_model, members
         self._z_sd = math.sqrt(sigma_z2)
         self._x_rng, self._z_rng = (
-            np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+            np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed, spawn_key=(index,)).spawn(2))
         if self._x_prev is not None:
             for _ in range(1000):  # burn-in
                 self._ar1_step()
         self._block = BLOCK_STEPS
-        # rows g, h, ell, r1, r2; an LMS pass never writes h, ell or r2,
+        # rows g, h, ell, r1, r2; an LMS leaf never writes h, ell or r2,
         # which are exactly 0 without an attractor
-        self.samples = np.zeros((self._block, 5, ensemble))
-        self.trq_rows = np.empty((self._block, ensemble))
-        count = max(1, min(-(-ensemble // TILE_MEMBERS), ensemble // 2))
-        edges = [ensemble * k // count for k in range(count + 1)]
-        self._spans = list(zip(edges, edges[1:]))
-        self._xr = [np.zeros((self._block + L - 1, hi - lo)) for lo, hi in self._spans]
+        self.samples = np.zeros((self._block, 5, members))
+        self.trq_rows = np.empty((self._block, members))
+        self._xr = np.zeros((self._block + L - 1, members))
         w0 = np.zeros(L) if w_init is None else np.asarray(w_init, dtype=float)
-        wt0 = (w0 - plant)[:, None]
-        self._wt = [np.broadcast_to(wt0, (L, hi - lo)).copy() for lo, hi in self._spans]
-        width = max(hi - lo for lo, hi in self._spans)
-        self._plant = np.broadcast_to(plant[:, None], (L, width)).copy()
+        self.wt = np.broadcast_to((w0 - plant)[:, None], (L, members)).copy()
+        self._plant = np.broadcast_to(plant[:, None], (L, members)).copy()
         self.cfg = cfg
         self.g_floor = sigma_z2 * (L * stationary_power(input_model))  # sigma_z2 tr{R_u}
-        self.trq0 = np.concatenate([np.einsum("lt,lt->t", Wt, Wt) for Wt in self._wt]).mean()
-        self._a = np.empty(width)
-        self._scratch = np.empty(L * width)
-        self._bs = np.empty(L * width) if cfg.mode is not None else None
+        self._a = np.empty(members)
+        self._scratch = np.empty((L, members))
+        self._bs = np.empty((L, members)) if cfg.mode is not None else None
 
     def _ar1_step(self) -> np.ndarray:
         """Every member's next AR(1)-mixture input x_t = v_t + alpha x_{t-1}:
-        E uniforms pick the signs of the mixture means, then E normals."""
-        m, rng, E = self._input_model, self._x_rng, self._x_prev.size
-        signs = np.where(rng.random(E) < 0.5, -1.0, 1.0)
-        x = m.a * self._x_sd * signs + rng.normal(0.0, self._x_sd, size=E)
+        T uniforms pick the signs of the mixture means, then T normals."""
+        m, rng, T = self._input_model, self._x_rng, self._members
+        signs = np.where(rng.random(T) < 0.5, -1.0, 1.0)
+        x = m.a * self._x_sd * signs + rng.normal(0.0, self._x_sd, size=T)
         x += m.alpha * self._x_prev
         self._x_prev = x
         return x
 
     def _inputs(self, count: int) -> np.ndarray:
-        """Every member's input at the next count steps, (count, E)."""
+        """Every member's input at the next count steps, (count, T)."""
         if self._x_prev is None:
-            return self._x_rng.normal(0.0, self._x_sd, size=(count, self._ensemble))
+            return self._x_rng.normal(0.0, self._x_sd, size=(count, self._members))
         return np.stack([self._ar1_step() for _ in range(count)])
 
     def advance(self, count: int, sample: bool = False):
         """Apply the filter updates of the next count steps to every member,
-        in blocks of at most K steps, tile by tile.  With sample, also take
-        the five moment samples at each step and, after its update, each
-        member's squared weight error, and return their ensemble means: the
-        (5, count) rows g, h, ell, r1, r2 and the (count,) mean squared
-        weight errors.  The attractor is evaluated only when the samples or
-        the update read it."""
+        in blocks of at most K steps.  With sample, also take the five
+        moment samples at each step and, after its update, each member's
+        squared weight error, and return their sums over the members: the
+        (5, count) rows g, h, ell, r1, r2 and the (count,) squared weight
+        errors.  The attractor is evaluated only when the samples or the
+        update read it."""
         cfg, L = self.cfg, self.cfg.L
         attract = cfg.mode is not None and (sample or cfg.rho != 0.0)
         shrink = cfg.mode is not None and cfg.rho != 0.0
+        xr, Wt, P, a, S, B = self._xr, self.wt, self._plant, self._a, self._scratch, self._bs
         if sample:
-            means, trq = np.empty((5, count)), np.empty(count)
+            moments, trq = np.empty((5, count)), np.empty(count)
         for done in range(0, count, self._block):
             steps = min(self._block, count - done)
             x = self._inputs(steps)
             z = self._z_rng.normal(0.0, self._z_sd, size=x.shape)
-            for (lo, hi), xr, Wt in zip(self._spans, self._xr, self._wt):
-                n = hi - lo
-                xr[steps:steps + L - 1] = xr[:L - 1]
-                xr[:steps] = x[::-1, lo:hi]
-                a, P = self._a[:n], self._plant[:, :n]
-                S = self._scratch[:L * n].reshape(L, n)
+            xr[steps:steps + L - 1] = xr[:L - 1]
+            xr[:steps] = x[::-1]
+            for k in range(steps):
+                U = xr[steps - 1 - k:steps - 1 - k + L]
+                np.einsum("lt,lt->t", Wt, U, out=a)
                 if attract:
-                    B = self._bs[:L * n].reshape(L, n)
-                for k in range(steps):
-                    U = xr[steps - 1 - k:steps - 1 - k + L]
-                    np.einsum("lt,lt->t", Wt, U, out=a)
-                    if attract:
-                        BS = _attractor_matrix(np.add(Wt, P, out=S), cfg.partition, cfg.mode, B)
-                    if sample:
-                        g, h, ell, r1, r2 = self.samples[k, :, lo:hi]
-                        np.multiply(a, a, out=r1)
-                        np.einsum("lt,lt->t", U, U, out=g)
-                        g *= r1
-                        g += self.g_floor
-                        if cfg.mode is not None:
-                            np.einsum("lt,lt->t", BS, BS, out=h)
-                            np.einsum("lt,lt->t", U, BS, out=ell)
-                            ell *= a
-                            np.einsum("lt,lt->t", BS, Wt, out=r2)
-                    e = np.subtract(z[k, lo:hi], a, out=a)
-                    e *= cfg.mu
-                    Wt += np.multiply(e, U, out=S)
-                    if shrink:
-                        Wt -= np.multiply(BS, cfg.rho, out=S)
-                    if sample:
-                        np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[k, lo:hi])
+                    BS = _attractor_matrix(np.add(Wt, P, out=S), cfg.partition, cfg.mode, B)
+                if sample:
+                    g, h, ell, r1, r2 = self.samples[k]
+                    np.multiply(a, a, out=r1)
+                    np.einsum("lt,lt->t", U, U, out=g)
+                    g *= r1
+                    g += self.g_floor
+                    if cfg.mode is not None:
+                        np.einsum("lt,lt->t", BS, BS, out=h)
+                        np.einsum("lt,lt->t", U, BS, out=ell)
+                        ell *= a
+                        np.einsum("lt,lt->t", BS, Wt, out=r2)
+                e = np.subtract(z[k], a, out=a)
+                e *= cfg.mu
+                Wt += np.multiply(e, U, out=S)
+                if shrink:
+                    Wt -= np.multiply(BS, cfg.rho, out=S)
+                if sample:
+                    np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[k])
             if sample:
-                means[:, done:done + steps] = self.samples[:steps].mean(axis=2).T
-                trq[done:done + steps] = self.trq_rows[:steps].mean(axis=1)
+                moments[:, done:done + steps] = self.samples[:steps].sum(axis=2).T
+                trq[done:done + steps] = self.trq_rows[:steps].sum(axis=1)
             del x, z  # so the next block's draws are not made beside these
         if sample:
-            return means, trq
+            return moments, trq
+
+
+def _leaf_sums(task):
+    """Worker: simulate one leaf from start to finish.  It advances `warm`
+    steps unsampled, then samples `count` steps, and returns three sums over
+    its members: the (5, count) moment rows, the (count + 1,) squared weight
+    errors before the first sampled step and after each, and the (5,)
+    squared deviations of the last sampled step's moments from their leaf
+    mean (zeros for count = 0)."""
+    (plant, input_model, cfg, sigma_z2, seed, w_init, warm, count), index, members = task
+    leaf = _Leaf(plant, input_model, cfg, sigma_z2, members, seed, index, w_init)
+    # a diverging leaf overflows to inf and nan, which the caller reports;
+    # a pool worker does not run under the caller's errstate, so the leaf
+    # sets its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        leaf.advance(warm)
+        first = np.einsum("lt,lt->t", leaf.wt, leaf.wt).sum()
+        moments, trq = leaf.advance(count, sample=True)
+        spread = np.zeros(5)
+        if count:
+            last = leaf.samples[(count - 1) % leaf._block]
+            dev = last - last.mean(axis=1, keepdims=True)
+            spread = np.multiply(dev, dev, out=dev).sum(axis=1)
+    return moments, np.concatenate(([first], trq)), spread
+
+
+def _leaf_results(plant, input_model, cfg, sigma_z2, ensemble, seed, w_init, warm, count,
+                  workers):
+    """_leaf_sums of every leaf, in leaf order, on up to `workers` processes."""
+    spec = (plant, input_model, cfg, sigma_z2, seed, w_init, warm, count)
+    tasks = ((spec, index, members) for index, members in _leaves(ensemble))
+    return ordered_map(_leaf_sums, tasks, _leaf_count(ensemble), workers)
 
 
 def ensemble_moments(
@@ -290,21 +325,33 @@ def ensemble_moments(
     ensemble: int,
     seed: int,
     w_init: np.ndarray | None = None,
+    workers: int = 1,
 ) -> EnsembleMoments:
     """Sample the five transient-model moments at iteration n.
 
     Runs `ensemble` independent trajectories of the configured filter for n
     steps from w_init (zeros by default), then evaluates the moment
-    expectations with the true weight error w_n - plant.
+    expectations with the true weight error w_n - plant.  The leaves' sums
+    are added in leaf order, and their spreads about the leaf means are
+    merged in leaf order by the pairwise update of Chan, Golub and LeVeque,
+    so no number depends on `workers`.
     """
-    run = _EnsemblePass(plant, input_model, cfg, sigma_z2, ensemble, seed, w_init)
+    sums, mean, m2, seen = np.zeros(5), np.zeros(5), np.zeros(5), 0
+    results = _leaf_results(plant, input_model, cfg, sigma_z2, ensemble, seed, w_init, n, 1,
+                            workers)
     # a diverging ensemble overflows to inf and nan; its standard errors
-    # then fail EnsembleMoments' check, so numpy need not warn about it
+    # then fail EnsembleMoments' check, so numpy need not warn about it.
+    # Each leaf silences its own overflows; only the merge is done here.
+    for (moments, _, spread), (_, members) in zip(results, _leaves(ensemble)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums += moments[:, 0]
+            delta = moments[:, 0] / members - mean
+            seen += members
+            m2 += spread + delta * delta * ((seen - members) * members / seen)
+            mean += delta * (members / seen)
     with np.errstate(over="ignore", invalid="ignore"):
-        run.advance(n)
-        means, _ = run.advance(1, sample=True)  # its update goes unread
-        ses = (run.samples[0].std(axis=1, ddof=1) / math.sqrt(ensemble)).tolist()
-    return EnsembleMoments(*means[:, 0].tolist(), *ses, ensemble=ensemble)
+        ses = (np.sqrt(m2 / (ensemble - 1)) / math.sqrt(ensemble)).tolist()
+    return EnsembleMoments(*(sums / ensemble).tolist(), *ses, ensemble=ensemble)
 
 
 @dataclass(frozen=True)
@@ -348,6 +395,7 @@ def validate_model_recursion(
     horizon: int,
     ensemble: int,
     seed: int,
+    workers: int = 1,
 ) -> ModelValidationReport:
     """Check the one-step MSD recursion against a Monte-Carlo ensemble.
 
@@ -356,16 +404,26 @@ def validate_model_recursion(
     evaluated at that step's sampled moments.  Restricted to white Gaussian
     input: the moment estimators pair exactly with the realized update there,
     so any systematic gap indicates a genuine model or implementation error
-    rather than a colored-input artifact.
+    rather than a colored-input artifact.  The leaves run on up to `workers`
+    processes, and their sums are added in leaf order, so the report does
+    not depend on `workers`.
     """
     if not isinstance(input_model, WhiteGaussian):
         raise TypeError("model validation is defined for white Gaussian input only")
-    run = _EnsemblePass(plant, input_model, cfg, sigma_z2, ensemble, seed)
+    moments, trq = np.zeros((5, horizon)), np.zeros(horizon + 1)
+    results = _leaf_results(plant, input_model, cfg, sigma_z2, ensemble, seed, None, 0, horizon,
+                            workers)
     # a diverging case overflows to inf and nan; its deviation reads NaN,
-    # which fails the tolerance, so numpy need not warn about it
+    # which fails the tolerance, so numpy need not warn about it.  Each
+    # leaf silences its own overflows; only the sums and the model are
+    # taken here.
+    for leaf_moments, leaf_trq, _ in results:
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments += leaf_moments
+            trq += leaf_trq
     with np.errstate(over="ignore", invalid="ignore"):
-        (g, h, ell, r1, r2), trq = run.advance(horizon, sample=True)
-        trq = np.concatenate(([run.trq0], trq))
+        g, h, ell, r1, r2 = moments / ensemble
+        trq /= ensemble
         mu, rho = cfg.mu, cfg.rho
         model_inc = (
             mu * mu * g + rho * rho * h + 2.0 * mu * rho * ell

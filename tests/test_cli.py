@@ -10,6 +10,7 @@ import tempfile
 import textwrap
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from gslms.config import (
     parse_config,
     serialize_config,
 )
+from gslms.oracles import _leaf_sums
 
 
 def _rejected(capsys, argv):
@@ -392,33 +394,98 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout == "[]\n"
 
 
-def test_diverging_validate_model_case_fails_without_traceback(capsys):
+def _two_cpus(monkeypatch):
+    """Make the usable CPUs, and so validate-model's workers, two."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def test_diverging_validate_model_case_fails_without_traceback(monkeypatch, capfd):
     """At mu = 10 the ensemble diverges: the per-member samples overflow,
     so their standard errors are not finite.  Validation reads only means,
-    so the case ends in its FAIL verdict and exit 1, not a ValueError."""
-    rc = main(["validate-model", "--mu", "10", "--horizon", "60", "--ensemble", "100"])
-    out, _ = capsys.readouterr()
-    assert rc == 1
-    lines = out.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("  lms mu=10 rho=0: ")
-    assert lines[0].endswith(" -> FAIL")
+    so the case ends in its FAIL verdict and exit 1, not a ValueError, with
+    nothing on stderr: on one leaf, and on 3 leaves over 2 worker processes,
+    which each silence their own overflows."""
+    _two_cpus(monkeypatch)
+    for ensemble in ("100", "2100"):
+        rc = main(["validate-model", "--mu", "10", "--horizon", "60", "--ensemble", ensemble])
+        out, err = capfd.readouterr()
+        assert rc == 1
+        assert err == "", ensemble
+        lines = out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("  lms mu=10 rho=0: ")
+        assert lines[0].endswith(" -> FAIL")
 
 
-def test_diverging_validate_model_json_reports_nan_as_failed(capsys):
+def test_diverging_validate_model_json_reports_nan_as_failed(monkeypatch, capfd):
     """Over 400 steps the means themselves overflow; the deviation reads
-    NaN, which is not within the tolerance."""
-    rc = main(["validate-model", "--mu", "10", "--horizon", "400", "--ensemble", "50", "--json"])
-    out, _ = capsys.readouterr()
-    report = json.loads(out)
+    NaN, which is not within the tolerance.  So on one leaf and on 3 leaves
+    over 2 worker processes, with nothing on stderr."""
+    _two_cpus(monkeypatch)
+    for ensemble in ("50", "2100"):
+        rc = main(["validate-model", "--mu", "10", "--horizon", "400", "--ensemble", ensemble,
+                   "--json"])
+        out, err = capfd.readouterr()
+        report = json.loads(out)
+        assert rc == 1
+        assert err == "", ensemble
+        assert report["passed"] is False
+        assert math.isnan(report["reports"][0]["max_rel_deviation"])
+
+
+def test_validate_model_json_is_the_same_on_any_worker_count(monkeypatch, capsys):
+    """2100 members make 3 leaves, run in-process on 1 CPU and on pools of
+    2 and 3 worker processes: the same ``--json`` bytes each time."""
+    outputs = []
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        assert main(["validate-model", "--horizon", "20", "--ensemble", "2100", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["reports"][1]["ensemble"] == 2100
+
+
+def _leaf_out_of_memory(task):
+    """The leaf worker, except that the second leaf cannot allocate."""
+    if task[1] == 1:
+        np.empty((2**30, 2**20))  # 8 PiB: refused before any page is touched
+    return _leaf_sums(task)
+
+
+def test_a_worker_error_exits_1_with_one_line(monkeypatch, capfd):
+    """A MemoryError in a worker process reaches main, which prints numpy's
+    message as one ``error:`` line and exits 1, with no traceback and no
+    report."""
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(gslms.oracles, "_leaf_sums", _leaf_out_of_memory)
+    rc = main(["validate-model", "--horizon", "3", "--ensemble", "2100"])
+    out, err = capfd.readouterr()
     assert rc == 1
-    assert report["passed"] is False
-    assert math.isnan(report["reports"][0]["max_rel_deviation"])
+    assert out == ""
+    assert err.startswith("error: Unable to allocate 8.00 PiB") and err.count("\n") == 1
+
+
+def test_validate_model_workers_resolve_to_the_usable_cpus(monkeypatch, capsys):
+    """validate-model runs its leaves on the CPUs the process may run on,
+    as ``--workers`` defaults to, otherwise on the host's count."""
+    seen, validate = [], gslms.cli.validate_model_recursion
+
+    def recorded(*args, workers):
+        seen.append(workers)
+        return validate(*args, workers=1)
+
+    monkeypatch.setattr(gslms.cli, "validate_model_recursion", recorded)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    main(["validate-model", "--horizon", "2", "--ensemble", "10"])
+    monkeypatch.delattr(os, "sched_getaffinity")
+    main(["validate-model", "--horizon", "2", "--ensemble", "10", "--mu", "0.01"])
+    assert capsys.readouterr().out.count(" -> ") == 3
+    assert seen == [3, 3, 8]
 
 
 HUGE_COUNTS = {"2p31": 2**31, "1e12": 10**12, "1e15": 10**15}
 HUGE_COUNT_ARGV = {
     "iterations": ["paper-exp1", "--runs", "2", "--iterations", "{}"],
-    "ensemble": ["validate-model", "--ensemble", "{}", "--horizon", "5"],
     "horizon": ["validate-model", "--ensemble", "100", "--horizon", "{}"],
 }
 
@@ -434,9 +501,11 @@ def test_memory_exhaustion_exits_1_with_one_line(tmp_path, argv):
     """A count whose arrays cannot be held ends in one ``error:`` line and
     exit 1, not a traceback, and writes no output directory; a bare
     ``MemoryError`` (no message of its own) reads "out of memory".  Each
-    count key takes 2**31, 10**12 and 10**15.  The command runs in a child
+    count key takes 2**31, 10**12 and 10**15 (a huge ensemble runs, see
+    below).  The command runs in a child
     interpreter whose address space is capped at 1 GiB before ``gslms`` is
-    imported, so nothing is allocated here."""
+    imported, so nothing is allocated here.  A huge horizon fails in the
+    caller's ``(5, horizon)`` sums, before the first leaf runs."""
     pytest.importorskip("resource")
     code = ("import resource, sys; "
             "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
@@ -489,3 +558,46 @@ def test_huge_run_count_starts_without_listing_its_blocks():
                               capture_output=True, text=True, timeout=10)
         assert proc.returncode == 0, (runs, proc.stderr)
         assert proc.stdout == "marker [(0, 20), (20, 20), (40, 20)]\n", runs
+
+
+@pytest.mark.parametrize("ensemble", HUGE_COUNTS.values(), ids=HUGE_COUNTS.keys())
+def test_huge_ensemble_starts_without_listing_its_leaves(ensemble):
+    """A huge validation ensemble makes its leaves of 1024 members as they
+    are handed out, and no array grows with the ensemble: the third leaf
+    reaches ``_leaf_sums`` within 10 s under a 1 GiB address-space cap.
+    The child interpreter stops at a marker raised by that third call, so
+    nothing is allocated here."""
+    pytest.importorskip("resource")
+    code = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        import gslms.oracles as oracles
+        from gslms.filters import FilterConfig
+        from gslms.groups import AttractorMode, GroupPartition
+        from gslms.signals import WhiteGaussian, benchmark_plants
+
+        class Marker(Exception):
+            pass
+
+        leaf_sums, seen = oracles._leaf_sums, []
+
+        def third_raises(task):
+            seen.append(task[1:])
+            if len(seen) == 3:
+                raise Marker
+            return leaf_sums(task)
+
+        oracles._leaf_sums = third_raises
+        cfg = FilterConfig(35, GroupPartition.contiguous(35, 5), AttractorMode("grza", 0.1),
+                           mu=0.005, rho=1e-4)
+        try:
+            oracles.validate_model_recursion(benchmark_plants()[0], WhiteGaussian(1.0), cfg,
+                                             0.01, 5, int(sys.argv[1]), 12345, workers=1)
+        except Marker:
+            print("marker", seen)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code, str(ensemble)],
+                          env=_child_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "marker [(0, 1024), (1, 1024), (2, 1024)]\n"

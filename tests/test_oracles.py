@@ -19,8 +19,9 @@ from gslms.groups import (
 import gslms.oracles
 from gslms.oracles import (
     EnsembleMoments,
-    _EnsemblePass,
+    _Leaf,
     _attractor_matrix,
+    _leaves,
     ensemble_moments,
     finite_diff_subgradient,
     grid_minimize_quadratic,
@@ -275,21 +276,21 @@ def test_validation_deterministic_in_seed():
 def test_zero_horizon_gives_an_empty_report():
     """No steps: trq holds only the initial mean squared deviation, every
     per-step array is empty and the largest deviation reads 0.  Moments at
-    n = 0 are those of the first step of the whole-ensemble reference."""
+    n = 0 are those of the first step of the leaf-by-leaf reference."""
     plant, cfg = benchmark_plants()[0], _grza_config(mu=0.005, rho=1e-4)
     report = validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
                                       horizon=0, ensemble=100, seed=1)
-    _, trq = _reference_pass(plant, WhiteGaussian(1.0), cfg, 0.01, 0, 100, 1)
-    assert report.trq.tolist() == [trq[0].mean()]
+    _, trq = _reference_means(plant, WhiteGaussian(1.0), cfg, 0.01, 0, 100, 1)
+    assert report.trq.tolist() == trq.tolist()
     for field in ("ensemble_increments", "model_increments", "rel_deviation"):
         assert getattr(report, field).shape == (0,), field
     assert report.max_rel_deviation == 0.0
     assert report.to_dict()["rel_deviation"] == []
     m = ensemble_moments(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01, n=0, ensemble=45,
                          seed=9, w_init=0.5 * plant)
-    samples, _ = _reference_pass(plant, WhiteGaussian(1.0), cfg, 0.01, 1, 45, 9,
-                                 w_init=0.5 * plant)
-    assert m.g == samples[0, 0].mean() and m.r2 == samples[0, 4].mean()
+    means, _ = _reference_means(plant, WhiteGaussian(1.0), cfg, 0.01, 1, 45, 9,
+                                w_init=0.5 * plant)
+    assert m.g == means[0, 0] and m.r2 == means[0, 4]
 
 
 def _innovations(model, rng, ensemble):
@@ -300,18 +301,25 @@ def _innovations(model, rng, ensemble):
     return model.a * sd * signs + rng.normal(0.0, sd, size=ensemble)
 
 
+def _leaf_generators(seed, index):
+    """Leaf `index`'s input and noise generators."""
+    return [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed, spawn_key=(index,)).spawn(2)]
+
+
 @pytest.mark.parametrize("alpha", [0.5, -0.7])
 def test_streamed_ar1_inputs_follow_the_scalar_recursion(alpha):
     """After the 1000-step burn-in, each member's streamed input is
     x_t = v_t + alpha x_{t-1} from x_{-1} = 0, over innovations drawn step
-    by step from the input generator, whatever blocks it is drawn in."""
-    model, ensemble, steps, seed = AR1GaussianMixture(alpha=alpha), 8, 300, 2024
-    run = _EnsemblePass(benchmark_plants()[0], model, _lms_config(), 0.01, ensemble, seed)
+    by step from the leaf's own input generator, whatever blocks it is
+    drawn in."""
+    model, members, steps, seed, index = AR1GaussianMixture(alpha=alpha), 8, 300, 2024, 3
+    run = _Leaf(benchmark_plants()[0], model, _lms_config(), 0.01, members, seed, index)
     streamed = np.concatenate([run._inputs(count) for count in (1, 7, 92, 200)])
-    assert streamed.shape == (steps, ensemble) and streamed.dtype == np.float64
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-    v = [_innovations(model, rng, ensemble).tolist() for _ in range(1000 + steps)]
-    for m in range(ensemble):
+    assert streamed.shape == (steps, members) and streamed.dtype == np.float64
+    rng = _leaf_generators(seed, index)[0]
+    v = [_innovations(model, rng, members).tolist() for _ in range(1000 + steps)]
+    for m in range(members):
         x, xs = 0.0, []
         for v_t in v:
             x = v_t[m] + alpha * x
@@ -333,45 +341,62 @@ def _step_major_inputs(model, ensemble, steps, rng):
     return x[1000:]
 
 
-def _reference_pass(plant, model, cfg, sigma_z2, steps, ensemble, seed, w_init=None):
-    """The ensemble as one (L, E) block: the full step-major input and noise
-    from the oracle's two generators, every step sampled with the oracle's
-    kernels in their order.  Returns the (steps, 5, E) moment samples and
-    the (steps + 1, E) squared weight errors."""
+def _reference_leaves(plant, model, cfg, sigma_z2, steps, ensemble, seed, w_init=None):
+    """The ensemble leaf by leaf.  The leaves are the `count` near-equal
+    runs of members, count = max(1, min(ceil(E / TILE_MEMBERS), E // 2)),
+    each one (L, T) block with the full step-major input and noise of its
+    own two generators, every step sampled with the oracle's kernels in
+    their order.  Yields each leaf's (steps, 5, T) moment samples and
+    (steps + 1, T) squared weight errors."""
     L = cfg.L
-    x_rng, z_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
-    xr = np.zeros((steps + L - 1, ensemble))
-    xr[:steps] = _step_major_inputs(model, ensemble, steps, x_rng)[::-1]
-    z = z_rng.normal(0.0, math.sqrt(sigma_z2), size=(steps, ensemble))
-    w0 = np.zeros(L) if w_init is None else w_init
-    Wt = np.broadcast_to((w0 - plant)[:, None], (L, ensemble)).copy()
-    P = np.broadcast_to(plant[:, None], (L, ensemble)).copy()
-    g_floor = sigma_z2 * (L * stationary_power(model))
-    samples = np.zeros((steps, 5, ensemble))
-    trq = np.empty((steps + 1, ensemble))
-    np.einsum("lt,lt->t", Wt, Wt, out=trq[0])
-    a = np.empty(ensemble)
-    for t in range(steps):
-        U = xr[steps - 1 - t:steps - 1 - t + L]
-        np.einsum("lt,lt->t", Wt, U, out=a)
-        g, h, ell, r1, r2 = samples[t]
-        np.multiply(a, a, out=r1)
-        np.einsum("lt,lt->t", U, U, out=g)
-        g *= r1
-        g += g_floor
-        if cfg.mode is not None:
-            BS = _attractor_matrix(Wt + P, cfg.partition, cfg.mode, np.empty((L, ensemble)))
-            np.einsum("lt,lt->t", BS, BS, out=h)
-            np.einsum("lt,lt->t", U, BS, out=ell)
-            ell *= a
-            np.einsum("lt,lt->t", BS, Wt, out=r2)
-        e = np.subtract(z[t], a, out=a)
-        e *= cfg.mu
-        Wt += e * U
-        if cfg.mode is not None and cfg.rho != 0.0:
-            Wt -= BS * cfg.rho
-        np.einsum("lt,lt->t", Wt, Wt, out=trq[t + 1])
-    return samples, trq
+    count = max(1, min(-(-ensemble // gslms.oracles.TILE_MEMBERS), ensemble // 2))
+    for index in range(count):
+        members = ensemble * (index + 1) // count - ensemble * index // count
+        x_rng, z_rng = _leaf_generators(seed, index)
+        xr = np.zeros((steps + L - 1, members))
+        xr[:steps] = _step_major_inputs(model, members, steps, x_rng)[::-1]
+        z = z_rng.normal(0.0, math.sqrt(sigma_z2), size=(steps, members))
+        w0 = np.zeros(L) if w_init is None else w_init
+        Wt = np.broadcast_to((w0 - plant)[:, None], (L, members)).copy()
+        P = np.broadcast_to(plant[:, None], (L, members)).copy()
+        g_floor = sigma_z2 * (L * stationary_power(model))
+        samples = np.zeros((steps, 5, members))
+        trq = np.empty((steps + 1, members))
+        np.einsum("lt,lt->t", Wt, Wt, out=trq[0])
+        a = np.empty(members)
+        for t in range(steps):
+            U = xr[steps - 1 - t:steps - 1 - t + L]
+            np.einsum("lt,lt->t", Wt, U, out=a)
+            g, h, ell, r1, r2 = samples[t]
+            np.multiply(a, a, out=r1)
+            np.einsum("lt,lt->t", U, U, out=g)
+            g *= r1
+            g += g_floor
+            if cfg.mode is not None:
+                BS = _attractor_matrix(Wt + P, cfg.partition, cfg.mode, np.empty((L, members)))
+                np.einsum("lt,lt->t", BS, BS, out=h)
+                np.einsum("lt,lt->t", U, BS, out=ell)
+                ell *= a
+                np.einsum("lt,lt->t", BS, Wt, out=r2)
+            e = np.subtract(z[t], a, out=a)
+            e *= cfg.mu
+            Wt += e * U
+            if cfg.mode is not None and cfg.rho != 0.0:
+                Wt -= BS * cfg.rho
+            np.einsum("lt,lt->t", Wt, Wt, out=trq[t + 1])
+        yield samples, trq
+
+
+def _reference_means(plant, model, cfg, sigma_z2, steps, ensemble, seed, w_init=None):
+    """The reference's (steps, 5) moment means and (steps + 1,) mean squared
+    weight errors: each leaf's sums over its members, added in leaf order,
+    over the ensemble size."""
+    moments, trq = np.zeros((steps, 5)), np.zeros(steps + 1)
+    for samples, sq in _reference_leaves(plant, model, cfg, sigma_z2, steps, ensemble, seed,
+                                         w_init):
+        moments += samples.sum(axis=2)
+        trq += sq.sum(axis=1)
+    return moments / ensemble, trq / ensemble
 
 
 def _three_configs():
@@ -381,36 +406,58 @@ def _three_configs():
 
 
 REFERENCE_ENSEMBLE, REFERENCE_HORIZON = 45, 13  # 13 steps: a block of 8 and a partial one
+# One leaf of 45 members, then 7 leaves of 6 or 7
+REFERENCE_TILES = (gslms.oracles.TILE_MEMBERS, 7)
 
 
 @pytest.mark.parametrize("tag", ["lms", "gza", "grza"])
-def test_validation_matches_the_whole_ensemble_reference(tag):
+def test_validation_matches_the_whole_ensemble_reference(monkeypatch, tag):
+    """The whole ensemble, leaf by leaf, bit for bit."""
     plant, cfg = benchmark_plants()[0], _three_configs()[tag]
-    report = validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
-                                      horizon=REFERENCE_HORIZON, ensemble=REFERENCE_ENSEMBLE,
-                                      seed=8)
-    samples, trq = _reference_pass(plant, WhiteGaussian(1.0), cfg, 0.01, REFERENCE_HORIZON,
-                                   REFERENCE_ENSEMBLE, 8)
-    g, h, ell, r1, r2 = np.stack([s.mean(axis=1) for s in samples], axis=1)
-    mu, rho = cfg.mu, cfg.rho
-    model_inc = (mu * mu * g + rho * rho * h + 2.0 * mu * rho * ell
-                 - 2.0 * mu * r1 - 2.0 * rho * r2)
-    assert np.array_equal(report.trq, [row.mean() for row in trq])
-    assert np.array_equal(report.model_increments, model_inc)
-    assert np.array_equal(report.ensemble_increments, np.diff(report.trq))
+    for tile in REFERENCE_TILES:
+        monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", tile)
+        report = validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
+                                          horizon=REFERENCE_HORIZON,
+                                          ensemble=REFERENCE_ENSEMBLE, seed=8)
+        means, trq = _reference_means(plant, WhiteGaussian(1.0), cfg, 0.01, REFERENCE_HORIZON,
+                                      REFERENCE_ENSEMBLE, 8)
+        g, h, ell, r1, r2 = means.T
+        mu, rho = cfg.mu, cfg.rho
+        model_inc = (mu * mu * g + rho * rho * h + 2.0 * mu * rho * ell
+                     - 2.0 * mu * r1 - 2.0 * rho * r2)
+        assert np.array_equal(report.trq, trq), tile
+        assert np.array_equal(report.model_increments, model_inc), tile
+        assert np.array_equal(report.ensemble_increments, np.diff(report.trq)), tile
 
 
 @pytest.mark.parametrize("model", [WhiteGaussian(1.0), AR1GaussianMixture()], ids=["white", "ar1"])
 @pytest.mark.parametrize("tag", ["lms", "gza", "grza"])
-def test_ensemble_moments_match_the_whole_ensemble_reference(tag, model):
+def test_ensemble_moments_match_the_whole_ensemble_reference(monkeypatch, tag, model):
+    """The means bit for bit, leaf by leaf.  The standard errors come from
+    each leaf's spread about its own mean, merged in leaf order; on one
+    leaf they are the bits of the two-pass standard deviation over all
+    members, and on several they agree with it to rounding (1e-12 of the
+    standard error plus the mean)."""
     plant, cfg, n = benchmark_plants()[0], _three_configs()[tag], REFERENCE_HORIZON
-    m = ensemble_moments(plant, model, cfg, sigma_z2=0.01, n=n, ensemble=REFERENCE_ENSEMBLE,
-                         seed=9, w_init=0.5 * plant)
-    samples, _ = _reference_pass(plant, model, cfg, 0.01, n + 1, REFERENCE_ENSEMBLE, 9,
-                                 w_init=0.5 * plant)
-    means = samples[n].mean(axis=1).tolist()
-    ses = (samples[n].std(axis=1, ddof=1) / math.sqrt(REFERENCE_ENSEMBLE)).tolist()
-    assert m == EnsembleMoments(*means, *ses, ensemble=REFERENCE_ENSEMBLE)
+    for tile in REFERENCE_TILES:
+        monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", tile)
+        m = ensemble_moments(plant, model, cfg, sigma_z2=0.01, n=n, ensemble=REFERENCE_ENSEMBLE,
+                             seed=9, w_init=0.5 * plant)
+        means, _ = _reference_means(plant, model, cfg, 0.01, n + 1, REFERENCE_ENSEMBLE, 9,
+                                    w_init=0.5 * plant)
+        last = np.concatenate([samples[n] for samples, _ in _reference_leaves(
+            plant, model, cfg, 0.01, n + 1, REFERENCE_ENSEMBLE, 9, w_init=0.5 * plant)], axis=1)
+        ses = (last.std(axis=1, ddof=1) / math.sqrt(REFERENCE_ENSEMBLE)).tolist()
+        if tile == REFERENCE_TILES[0]:
+            assert m == EnsembleMoments(*means[n].tolist(), *ses, ensemble=REFERENCE_ENSEMBLE)
+        else:
+            got = [getattr(m, f) for f in ("g", "h", "ell", "r1", "r2")]
+            assert got == means[n].tolist(), tile
+            got_ses = [getattr(m, f) for f in ("g_se", "h_se", "ell_se", "r1_se", "r2_se")]
+            # rounding of the deviations scales with the mean, so a spread of
+            # rounding noise alone (GZA's h) is compared against the mean
+            for got_se, se, mean in zip(got_ses, ses, means[n]):
+                assert abs(got_se - se) <= 1e-12 * (se + abs(mean)), (tile, got_se, se)
 
 
 def test_ensemble_moments_memory_does_not_grow_with_the_horizon():
@@ -433,25 +480,48 @@ def test_ensemble_moments_memory_does_not_grow_with_the_horizon():
     assert long <= short + 64 * 1024, (short, long)
 
 
+def test_validation_memory_does_not_grow_with_the_ensemble():
+    """One leaf's state at a time: a GRZA case's traced peak on 1 worker is
+    the same at E = 20000 as at E = 2000, and some 2.5 MB, against 23.9 MB
+    when the pass held every member.  Over the horizon it grows only by the
+    per-step sums and the report's arrays, under 32 doubles a step."""
+    plant, cfg = benchmark_plants()[0], _grza_config(mu=0.005, rho=1e-4)
+
+    def peak(ensemble, horizon):
+        tracemalloc.start()
+        try:
+            validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
+                                     horizon=horizon, ensemble=ensemble, seed=10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000, 10)  # one-time allocations stay out of the peaks
+    small, large = peak(2000, 10), peak(20000, 10)
+    assert large <= 1.1 * small and large < 4e6, (small, large)
+    short, long = peak(100, 200), peak(100, 2000)
+    assert long - short < 1800 * 32 * 8, (short, long)
+
+
 # Both default ``gslms validate-model`` cases and one ensemble_moments call
 # from a non-zero start (ensemble 300, horizon 30, seed 2026; moments: n=20,
-# ensemble 300, seed 77), recorded from the step-major streamed pass once
-# the whole-ensemble reference tests above matched it bit for bit.
+# ensemble 300, seed 77), recorded from the leaf-by-leaf pass once the
+# whole-ensemble reference tests above matched it bit for bit.
 # rtol=1e-9 leaves room for the last bits of another summation order in a
 # future kernel (about 1e-13 measured) and nothing else.
 PINNED_TRQ = {
-    "lms": [2.2975, 2.2915990287024752, 2.2823732407389405, 2.2723349230173095, 2.2619206438674624, 2.251522533830588, 2.2413758506366555, 2.232661085668744, 2.22485437063872, 2.2158820242994115, 2.206472158862903, 2.197702455064001, 2.1900231266356003, 2.1808288530455773, 2.1708645629708605, 2.1618661998572772, 2.1530717046822057, 2.1444464349082177, 2.136814458468331, 2.128797332559759, 2.1205415416348643, 2.111275190346912, 2.1028810540000484, 2.0946002289333183, 2.086517962127383, 2.0751903827823273, 2.0633109272987418, 2.0529688290812818, 2.042325249293061, 2.031775077701427, 2.021677563678176],
-    "grza": [2.2975, 2.2915990287024752, 2.283809840471848, 2.2749675954093656, 2.2659141876922977, 2.2567905462242597, 2.2478606717821936, 2.240342613475314, 2.2337349730134903, 2.2259219348072894, 2.2176276450081467, 2.209933477702305, 2.203300238541635, 2.1950836498523594, 2.1860314404745904, 2.1779101636208673, 2.1699649247851807, 2.1621385869129615, 2.15529837903736, 2.1480341953371918, 2.1404834056093165, 2.1318794672925945, 2.124111163358216, 2.1164664369743242, 2.1090203439628508, 2.098333031768553, 2.087201655641826, 2.0777211972418757, 2.0678960205939, 2.0582158741105947, 2.0489971697445],
+    "lms": [2.2975, 2.2920970615216696, 2.2843350717149664, 2.275346596400202, 2.265152625336544, 2.2559369567015066, 2.2470113884648892, 2.2374677880291816, 2.229658838134646, 2.2201849210304188, 2.2106485354160723, 2.201346120136191, 2.192102410633579, 2.1811706836132863, 2.171842649502535, 2.1626733021107833, 2.154687075241611, 2.1458034637831065, 2.1370382617685406, 2.1293849570690027, 2.122064533045791, 2.114396721053488, 2.106637757602268, 2.098379276432084, 2.088616036866547, 2.07743925562796, 2.065846373315022, 2.0550280079701686, 2.045434827820286, 2.0357154413600336, 2.026554880708773],
+    "grza": [2.2975, 2.2920970615216696, 2.285745899010088, 2.277933115497542, 2.2690897788210274, 2.2611369319347934, 2.2534451194982434, 2.2451203356376044, 2.2384978526417876, 2.2301649289132564, 2.221728220731553, 2.2134798134186235, 2.205268380938629, 2.195293030672272, 2.1869022903561963, 2.178638020901346, 2.1715324375521505, 2.163462923938032, 2.1554759251806686, 2.148573979051308, 2.1420186735612066, 2.135068903453399, 2.127996266929148, 2.1203901876858593, 2.1112723675343146, 2.100760166696789, 2.0899219211644646, 2.0799427171037745, 2.071234940594778, 2.062342719397216, 2.054053131185121],
 }
 PINNED_MODEL_INCREMENTS = {
-    "lms": [-0.005823239344707465, -0.00930736498005911, -0.010148203697455178, -0.010445167595829896, -0.01041410066539246, -0.010080052333375784, -0.008654004044484988, -0.007786396168818354, -0.008973915572807025, -0.009401025338467546, -0.008789283871118337, -0.0076461509407521186, -0.009143788794740253, -0.01000317814902846, -0.009034743683253644, -0.00878059665005094, -0.008591272795141557, -0.00764931586421062, -0.007975937619963765, -0.008248216982247732, -0.00924158804703686, -0.008408446772472085, -0.008229548736419843, -0.007982178957372474, -0.0112901347759447, -0.011869797003908323, -0.01041274667063621, -0.010597414472175442, -0.010526341467197125, -0.010132865612697538],
-    "grza": [-0.005823239344707465, -0.00787090833731938, -0.00895234696518324, -0.009084493786688899, -0.009139735272911122, -0.008863053387525082, -0.007457093513987229, -0.006587266857996389, -0.007814818330407404, -0.008285723607881953, -0.00771366622074382, -0.006599638189033975, -0.008166745184725948, -0.009091047338985248, -0.008157755433195248, -0.007931443763865113, -0.007793126934501257, -0.006857333303023015, -0.0072225481479320005, -0.007542964744440244, -0.008578708894141493, -0.0077832255645670385, -0.0075908786996805545, -0.007346706197840056, -0.010649364627441007, -0.011122029387808739, -0.00955034927637363, -0.009780464300407217, -0.009657031072956424, -0.009257074264365991],
+    "lms": [-0.00541127649068391, -0.007697778464417414, -0.008994692213090147, -0.010223765546314711, -0.009268014891416107, -0.008896409435546466, -0.009488599838285329, -0.0076996594173245475, -0.009444282947919082, -0.009448044623423918, -0.009278750167602092, -0.009203750542721748, -0.010911443025975425, -0.009223226347462263, -0.00927393227463552, -0.008054076915189886, -0.008899502447469681, -0.008715462102059488, -0.007700205434848147, -0.007348634910309578, -0.007633881168573551, -0.00777398216601214, -0.008355413782891261, -0.009757148123110123, -0.011170762324148752, -0.011502238704673465, -0.010807865250463178, -0.009595709354755939, -0.009719768863012644, -0.0091511307967635],
+    "grza": [-0.00541127649068391, -0.006286913173088233, -0.007819039743196695, -0.008873260820594229, -0.008005349271562184, -0.0076626472164628805, -0.008269845868524483, -0.006512655289608213, -0.0083030790909179, -0.00834800417249841, -0.008225064276635668, -0.008170699891390404, -0.009955022416112212, -0.0082857986440549, -0.008370078399168411, -0.007172937543734521, -0.008085881938770741, -0.007936776799894652, -0.006951188753568134, -0.006583518756148149, -0.006915882717338984, -0.007088642798654143, -0.0077025692328097336, -0.009111348235817053, -0.010506934667620971, -0.010744829103919681, -0.009967804048207313, -0.008709523131392137, -0.00889138702008052, -0.008279817494578323],
 }
-PINNED_MAX_REL_DEVIATION = {"lms": 0.013348575975643456, "grza": 0.013528077883751497}
+PINNED_MAX_REL_DEVIATION = {"lms": 0.01419419629980999, "grza": 0.016863737035773117}
 PINNED_MOMENTS = dict(
-    g=0.7533087724537084, h=155.05444021213864, ell=1.1685269899845812, r1=0.0181148665958092,
-    r2=1.5909286443593664, g_se=0.036347843516494754, h_se=0.19640552928423163,
-    ell_se=0.1000126842982687, r1_se=0.001319289886836933, r2_se=0.0016594090168826061,
+    g=0.8293878205162971, h=155.3520241377934, ell=1.3490726286166486, r1=0.020761287070135234,
+    r2=1.5882852665320695, g_se=0.04083515895780715, h_se=0.2514229387458916,
+    ell_se=0.11279747457798556, r1_se=0.0015066622236504755, r2_se=0.0021115747808327567,
 )
 
 
@@ -485,90 +555,88 @@ def test_ensemble_moments_match_pinned_record():
 
 
 # ---------------------------------------------------------------------------
-# member tiles and the reversed-input regressor layout
+# leaves, blocks, workers and the reversed-input regressor layout
 
-TILE_ENSEMBLE = 45  # not a multiple of 7, so most tile sizes below leave a partial tile
+LEAF_ENSEMBLE = 45  # 7 leaves of 6 or 7 members at TILE_MEMBERS = 7
 HORIZON = 12
 
 
-@pytest.mark.parametrize("tile", [1, 7, TILE_ENSEMBLE - 1, TILE_ENSEMBLE, TILE_ENSEMBLE + 5])
-def test_results_do_not_depend_on_the_tile_size(monkeypatch, tile):
-    """Nor on the block length: the same bits for every tile size crossed
-    with blocks of 1, 3 and 5 steps (5 leaves a partial block), of the
-    horizon, and of more steps than the pass has."""
+def test_results_do_not_depend_on_the_block_length_or_the_worker_count(monkeypatch):
+    """The leaves fix the numbers.  The same bits for blocks of 1, 3 and 5
+    steps (5 leaves a partial block), of the horizon, and of more steps than
+    the pass has, and on 2 and 3 worker processes."""
     plant = benchmark_plants()[0]
-    gza = FilterConfig(L=35, partition=GroupPartition.contiguous(35, 5),
-                       mode=AttractorMode("gza"), mu=0.005, rho=1e-4)
-    configs = (_lms_config(mu=0.005), _grza_config(mu=0.005, rho=1e-4), gza)
+    configs = tuple(_three_configs().values())
+    monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", 7)
+    assert gslms.oracles._leaf_count(LEAF_ENSEMBLE) == 7
 
-    def results():
+    def results(workers):
         reports = [
             validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
-                                     horizon=HORIZON, ensemble=TILE_ENSEMBLE, seed=8)
+                                     horizon=HORIZON, ensemble=LEAF_ENSEMBLE, seed=8,
+                                     workers=workers)
             for cfg in configs
         ]
         moments = [
             ensemble_moments(plant, input_model, cfg, sigma_z2=0.01, n=HORIZON,
-                             ensemble=TILE_ENSEMBLE, seed=9, w_init=0.5 * plant)
+                             ensemble=LEAF_ENSEMBLE, seed=9, w_init=0.5 * plant,
+                             workers=workers)
             for cfg in configs
             for input_model in (WhiteGaussian(1.0), AR1GaussianMixture())
         ]
         return reports, moments
 
-    reports, moments = results()
-    monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", tile)
+    def same(got, want, label):
+        for a, b in zip(want[0], got[0]):
+            for field in ("trq", "ensemble_increments", "model_increments", "rel_deviation"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), (label, field)
+        assert got[1] == want[1], label  # every field, bit for bit
+
+    want = results(1)
+    for workers in (2, 3):
+        same(results(workers), want, f"{workers} workers")
     for block in (1, 3, 5, HORIZON, HORIZON + 5):
         monkeypatch.setattr(gslms.oracles, "BLOCK_STEPS", block)
-        tiled_reports, tiled_moments = results()
-        for a, b in zip(reports, tiled_reports):
-            for field in ("trq", "ensemble_increments", "model_increments", "rel_deviation"):
-                assert np.array_equal(getattr(a, field), getattr(b, field)), (block, field)
-        assert tiled_moments == moments, block  # every field, bit for bit
+        same(results(1), want, f"block {block}")
 
 
 @pytest.mark.parametrize("ensemble", [2, 1025])
 def test_no_tile_is_narrower_than_two_members(monkeypatch, ensemble):
-    """A one-member tile would sum its dot products in another order: at 2
-    members a tile of 1, and at 1025 a last tile of 1 after 1024."""
+    """A one-member leaf would sum its dot products in another order: at 2
+    members a leaf of 1, and at 1025 a last leaf of 1 after 1024.  For any
+    tile size the leaves are numbered in order and cover the ensemble in
+    near-equal runs of 2 or more members, and the report matches the
+    leaf-by-leaf reference."""
     plant = benchmark_plants()[0]
     cfg = _grza_config(mu=0.005, rho=1e-4)
-
-    def results():
-        report = validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
-                                          horizon=6, ensemble=ensemble, seed=8)
-        moments = ensemble_moments(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01, n=6,
-                                   ensemble=ensemble, seed=9, w_init=0.5 * plant)
-        return report, moments
-
-    report, moments = results()
     for tile in (1, 1024, 2 * ensemble):
         monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", tile)
-        tiled_report, tiled_moments = results()
-        for field in ("trq", "ensemble_increments", "model_increments", "rel_deviation"):
-            assert np.array_equal(getattr(report, field), getattr(tiled_report, field)), field
-        assert tiled_moments == moments, tile
+        leaves = list(_leaves(ensemble))
+        sizes = [members for _, members in leaves]
+        assert [index for index, _ in leaves] == list(range(len(leaves))), tile
+        assert sum(sizes) == ensemble and min(sizes) >= 2 and max(sizes) - min(sizes) <= 1, tile
+        report = validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
+                                          horizon=6, ensemble=ensemble, seed=8)
+        _, trq = _reference_means(plant, WhiteGaussian(1.0), cfg, 0.01, 6, ensemble, 8)
+        assert np.array_equal(report.trq, trq), tile
 
 
-def test_each_step_reads_the_reversed_sliding_window(monkeypatch):
+def test_each_step_reads_the_reversed_sliding_window():
     """Block by block, step t reads the reversed, zero-padded window of the
-    last L streamed inputs as one C-contiguous (L, T) block of its tile."""
-    L, steps, ensemble, seed, model = 35, 40, 7, 13, AR1GaussianMixture()
-    monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", 3)  # tiles of 2, 2 and 3 members
-    run = _EnsemblePass(benchmark_plants()[0], model, _lms_config(), 0.01, ensemble, seed)
-    x_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
-    x = _step_major_inputs(model, ensemble, steps, x_rng)
-    padded = np.concatenate([np.zeros((L - 1, ensemble)), x])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)  # (steps, E, L)
-    assert run._spans == [(0, 2), (2, 4), (4, 7)]
+    last L streamed inputs as one C-contiguous (L, T) block of the leaf."""
+    L, steps, members, seed, index, model = 35, 40, 7, 13, 2, AR1GaussianMixture()
+    run = _Leaf(benchmark_plants()[0], model, _lms_config(), 0.01, members, seed, index)
+    x = _step_major_inputs(model, members, steps, _leaf_generators(seed, index)[0])
+    padded = np.concatenate([np.zeros((L - 1, members)), x])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)  # (steps, T, L)
     t = 0
     for count in (3, 8, 1, 8, 5, 8, 7):  # blocks of the full and of fewer steps
         run.advance(count)
-        for (lo, hi), xr in zip(run._spans, run._xr):
-            for k in range(count):
-                U = xr[count - 1 - k:count - 1 - k + L]  # the block advance() reads at step t + k
-                assert U.shape == (L, hi - lo) and U.flags.c_contiguous
-                for j in range(hi - lo):
-                    assert np.array_equal(U[:, j], windows[t + k, lo + j, ::-1]), (t + k, lo + j)
+        for k in range(count):
+            U = run._xr[count - 1 - k:count - 1 - k + L]  # the block advance() reads at step t + k
+            assert U.shape == (L, members) and U.flags.c_contiguous
+            for j in range(members):
+                assert np.array_equal(U[:, j], windows[t + k, j, ::-1]), (t + k, j)
         t += count
     assert t == steps
 
