@@ -600,6 +600,42 @@ def test_results_do_not_depend_on_the_block_length_or_the_worker_count(monkeypat
         same(results(1), want, f"block {block}")
 
 
+@pytest.mark.parametrize("tile", [1, 7, LEAF_ENSEMBLE - 1, LEAF_ENSEMBLE, LEAF_ENSEMBLE + 5])
+def test_results_do_not_depend_on_the_tile_size(monkeypatch, tile):
+    """Beyond the leaves it makes.  The tile size sets the leaves (1 makes
+    22 of 2 or 3 members, 7 makes 7, 44 makes 2, and 45 and 50 make one),
+    and the leaves fix the numbers; at every tile size the validation trace
+    and the moment means are the bits of the leaf-by-leaf reference of those
+    leaves, for blocks of 1 and 5 steps and of more steps than the pass has,
+    and on 2 worker processes."""
+    plant = benchmark_plants()[0]
+    monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", tile)
+    want = {}
+    for tag, cfg in _three_configs().items():
+        _, trq = _reference_means(plant, WhiteGaussian(1.0), cfg, 0.01, HORIZON,
+                                  LEAF_ENSEMBLE, 8)
+        means, _ = _reference_means(plant, AR1GaussianMixture(), cfg, 0.01, HORIZON + 1,
+                                    LEAF_ENSEMBLE, 9, w_init=0.5 * plant)
+        want[tag] = trq, means[HORIZON].tolist()
+
+    def check(label, workers=1):
+        for tag, cfg in _three_configs().items():
+            trq, means = want[tag]
+            report = validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
+                                              horizon=HORIZON, ensemble=LEAF_ENSEMBLE, seed=8,
+                                              workers=workers)
+            assert np.array_equal(report.trq, trq), (label, tag)
+            m = ensemble_moments(plant, AR1GaussianMixture(), cfg, sigma_z2=0.01, n=HORIZON,
+                                 ensemble=LEAF_ENSEMBLE, seed=9, w_init=0.5 * plant,
+                                 workers=workers)
+            assert [m.g, m.h, m.ell, m.r1, m.r2] == means, (label, tag)
+
+    check("2 workers", workers=2)
+    for block in (1, 5, HORIZON + 5):
+        monkeypatch.setattr(gslms.oracles, "BLOCK_STEPS", block)
+        check(f"block {block}")
+
+
 @pytest.mark.parametrize("ensemble", [2, 1025])
 def test_no_tile_is_narrower_than_two_members(monkeypatch, ensemble):
     """A one-member leaf would sum its dot products in another order: at 2
