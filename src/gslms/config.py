@@ -19,7 +19,7 @@ from .groups import GRZA, GZA, _usable_epsilon
 from .signals import (
     AR1GaussianMixture, InputProcess, WhiteGaussian, benchmark_schedule, stationary_power,
 )
-from .varparam import default_mu_max
+from .varparam import default_mu_max, g_terms
 
 __all__ = [
     "ConfigError",
@@ -129,10 +129,10 @@ class ExperimentConfig:
             raise ConfigError("algorithm names must be unique")
         variable = [a for a in self.algorithms if a.variable]
         if variable:
-            # The VP model's moment g = g0 + g1 zeta (varparam.compute_g) and
+            # The VP model's moment g = g0 + g1 zeta (varparam.g_terms) and
             # the default step-size cap must be usable for every run.
             su2 = self.sigma_u2
-            g0, g1 = self.sigma_z2 * su2 * L, (2.0 + L) * su2
+            g0, g1 = g_terms(self.sigma_z2, su2, L)
             if not (math.isfinite(g0) and math.isfinite(g1)):
                 raise ConfigError(f"input power {su2} and noise variance {self.sigma_z2} "
                                   f"overflow the variable-parameter model (g0={g0}, g1={g1})")

@@ -75,20 +75,6 @@ def experiment_schedule(cfg: ExperimentConfig) -> PlantSchedule:
     return benchmark_schedule(total_iterations=cfg.iterations)
 
 
-def _block_count(runs: int) -> int:
-    return -(-runs // BLOCK_RUNS)
-
-
-def _blocks(runs: int) -> Iterator[tuple[int, int]]:
-    """Contiguous, near-equal ``(first, count)`` run blocks of at most
-    :data:`BLOCK_RUNS` runs, made one at a time (so a huge ``runs`` costs no
-    memory up front); they depend on ``runs`` alone."""
-    n = _block_count(runs)
-    size, extra = divmod(runs, n)
-    for k in range(n):
-        yield k * size + min(k, extra), size + (k < extra)
-
-
 # Row order inside a block, by (variable, mode): lms, vp-lms, vp-gza,
 # vp-grza, grza, gza.  The variable rows (ranks 1-3), the attractor rows
 # (2-5) and the GRZA rows (3-4) are each contiguous, so every subset a step
@@ -224,10 +210,10 @@ def _advance_block(cfg: ExperimentConfig, first: int, count: int,
     return powers, sums, diverged_at
 
 
-def _run_block(args: tuple[ExperimentConfig, int, int]):
-    """Worker: ``(first, result)`` for one run block, the result being
-    :func:`_advance_block`'s with the sums over the block's surviving rows."""
-    cfg, first, count = args
+def _run_block(task: tuple[ExperimentConfig, tuple[int, int, int]]):
+    """Worker: :func:`_advance_block`'s result for one run block, with the
+    sums over the block's surviving rows."""
+    cfg, (_, first, count) = task
     result = _advance_block(cfg, first, count)
     dropped = result[-1] >= 0
     if dropped.any():
@@ -235,21 +221,33 @@ def _run_block(args: tuple[ExperimentConfig, int, int]):
         # Rows are independent, so a second pass that leaves the failed
         # rows out from the start gives the sums over the survivors.
         result = _advance_block(cfg, first, count, dropped)
-    return first, result
+    return result
 
 
-def ordered_map(func, tasks: Iterator, count: int, workers: int) -> Iterator:
-    """``func`` over the ``count`` tasks, its results in task order: a plain
-    ``map`` for one task or one worker, otherwise ``imap`` over a pool of
-    ``min(workers, count)`` processes, which takes the tasks as it hands
-    them out.  The pool is closed once every result is read, and stopped
-    without running the tasks left if a task or the caller raises."""
+def leaves(total: int, count: int) -> Iterator[tuple[int, int, int]]:
+    """``total`` items split into ``count`` contiguous ``(index, first,
+    size)`` leaves, numbered in order, whose sizes differ by at most 1, the
+    larger first.  They are made one at a time, so a huge ``count`` costs no
+    memory up front, and they depend on ``total`` and ``count`` alone."""
+    size, extra = divmod(total, count)
+    for k in range(count):
+        yield k, k * size + min(k, extra), size + (k < extra)
+
+
+def ordered_map(func, spec, total: int, count: int, workers: int) -> Iterator:
+    """``func((spec, leaf))`` over the :func:`leaves` of ``total`` items,
+    yielded as ``(leaf, result)`` in leaf order: a plain ``map`` for one
+    leaf or one worker, otherwise ``imap`` over a pool of ``min(workers,
+    count)`` processes, which takes the leaves as it hands them out.  The
+    pool is closed once every result is read, and stopped without running
+    the leaves left if a task or the caller raises."""
+    tasks = ((spec, leaf) for leaf in leaves(total, count))
     if workers <= 1 or count == 1:
-        yield from map(func, tasks)
+        yield from zip(leaves(total, count), map(func, tasks))
         return
     pool = multiprocessing.Pool(processes=min(workers, count))
     try:
-        yield from pool.imap(func, tasks)
+        yield from zip(leaves(total, count), pool.imap(func, tasks))
     except BaseException:
         pool.terminate()
         raise
@@ -261,10 +259,11 @@ def ordered_map(func, tasks: Iterator, count: int, workers: int) -> Iterator:
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurve]:
     """Average the configured algorithms over ``cfg.runs`` paired realizations.
 
-    The runs are split into blocks (:func:`_blocks`, made as they are handed
-    out) whose row sums are added in block order into the first block's
-    sums, so the result does not depend on ``workers``.  The sums are
-    non-negative or NaN, so this gives the bits that adding into zeros gives.
+    The runs are split into blocks, the :func:`leaves` of at most
+    :data:`BLOCK_RUNS` runs, whose row sums are added in block order into
+    the first block's sums, so the result does not depend on ``workers``.
+    The sums are non-negative or NaN, so this gives the bits that adding
+    into zeros gives.
     Each column is then scaled in place, and every curve's arrays are views
     of that one ``(N, A + 2V)`` array.  A diverged run is dropped from that
     algorithm's average and recorded with the iteration it failed at; the
@@ -280,9 +279,8 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[LearningCurv
     diverged = [[] for _ in specs]
     power_sum = 0.0
 
-    tasks = ((cfg, first, count) for first, count in _blocks(cfg.runs))
-    results = ordered_map(_run_block, tasks, _block_count(cfg.runs), workers)
-    for first, (powers, block_sums, diverged_at) in results:
+    blocks = ordered_map(_run_block, cfg, cfg.runs, -(-cfg.runs // BLOCK_RUNS), workers)
+    for (_, first, _), (powers, block_sums, diverged_at) in blocks:
         for power in powers:
             power_sum += power
         if sums is None:

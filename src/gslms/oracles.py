@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -133,21 +132,6 @@ def _attractor_matrix(
         per_group = 1.0 / ((norms + mode.epsilon) * safe)
         return np.multiply(W, np.repeat(per_group, p.sizes, axis=0), out=out)
     return np.divide(W, np.repeat(safe, p.sizes, axis=0), out=out)
-
-
-def _leaf_count(ensemble: int) -> int:
-    return max(1, min(-(-ensemble // TILE_MEMBERS), ensemble // 2))
-
-
-def _leaves(ensemble: int) -> Iterator[tuple[int, int]]:
-    """Near-equal ``(index, members)`` leaves of at most TILE_MEMBERS
-    members, and of at least 2 where the ensemble has 2, made one at a time
-    (so a huge ensemble costs no memory up front); they depend on the
-    ensemble size alone.  A one-member leaf would be contiguous along the
-    taps, so einsum would take its dot kernel and sum in another order."""
-    count = _leaf_count(ensemble)
-    for k in range(count):
-        yield k, ensemble * (k + 1) // count - ensemble * k // count
 
 
 class _Leaf:
@@ -291,7 +275,7 @@ def _leaf_sums(task):
     errors before the first sampled step and after each, and the (5,)
     squared deviations of the last sampled step's moments from their leaf
     mean (zeros for count = 0)."""
-    (plant, input_model, cfg, sigma_z2, seed, w_init, warm, count), index, members = task
+    (plant, input_model, cfg, sigma_z2, seed, w_init, warm, count), (index, _, members) = task
     leaf = _Leaf(plant, input_model, cfg, sigma_z2, members, seed, index, w_init)
     # a diverging leaf overflows to inf and nan, which the caller reports;
     # a pool worker does not run under the caller's errstate, so the leaf
@@ -308,12 +292,33 @@ def _leaf_sums(task):
     return moments, np.concatenate(([first], trq)), spread
 
 
-def _leaf_results(plant, input_model, cfg, sigma_z2, ensemble, seed, w_init, warm, count,
-                  workers):
-    """_leaf_sums of every leaf, in leaf order, on up to `workers` processes."""
-    spec = (plant, input_model, cfg, sigma_z2, seed, w_init, warm, count)
-    tasks = ((spec, index, members) for index, members in _leaves(ensemble))
-    return ordered_map(_leaf_sums, tasks, _leaf_count(ensemble), workers)
+def _ensemble_sums(spec, ensemble, workers):
+    """_leaf_sums of every leaf, on up to `workers` processes, added in leaf
+    order: the (5, count) moment sums, the (count + 1,) squared weight error
+    sums and the (5,) squared deviations of the last sampled step's moments
+    from the ensemble mean (zeros for count = 0), merged from the leaves'
+    spreads by the pairwise update of Chan, Golub and LeVeque.  The leaves
+    are harness.leaves of at most TILE_MEMBERS members, and of at least 2
+    where the ensemble has 2: a one-member leaf would be contiguous along
+    the taps, so einsum would take its dot kernel and sum in another
+    order."""
+    count = spec[-1]  # the sampled steps, the last field of _leaf_sums' spec
+    moments, trq, mean, m2 = np.zeros((5, count)), np.zeros(count + 1), np.zeros(5), np.zeros(5)
+    leaf_count = max(1, min(-(-ensemble // TILE_MEMBERS), ensemble // 2))
+    results = ordered_map(_leaf_sums, spec, ensemble, leaf_count, workers)
+    # a diverging ensemble overflows to inf and nan, which the callers
+    # report; each leaf silences its own overflows, and only the merge is
+    # done here
+    for (_, first, members), (leaf_moments, leaf_trq, spread) in results:
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments += leaf_moments
+            trq += leaf_trq
+            if count:
+                seen = first + members
+                delta = leaf_moments[:, -1] / members - mean
+                m2 += spread + delta * delta * (first * members / seen)
+                mean += delta * (members / seen)
+    return moments, trq, m2
 
 
 def ensemble_moments(
@@ -336,22 +341,13 @@ def ensemble_moments(
     merged in leaf order by the pairwise update of Chan, Golub and LeVeque,
     so no number depends on `workers`.
     """
-    sums, mean, m2, seen = np.zeros(5), np.zeros(5), np.zeros(5), 0
-    results = _leaf_results(plant, input_model, cfg, sigma_z2, ensemble, seed, w_init, n, 1,
-                            workers)
-    # a diverging ensemble overflows to inf and nan; its standard errors
-    # then fail EnsembleMoments' check, so numpy need not warn about it.
-    # Each leaf silences its own overflows; only the merge is done here.
-    for (moments, _, spread), (_, members) in zip(results, _leaves(ensemble)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums += moments[:, 0]
-            delta = moments[:, 0] / members - mean
-            seen += members
-            m2 += spread + delta * delta * ((seen - members) * members / seen)
-            mean += delta * (members / seen)
+    spec = (plant, input_model, cfg, sigma_z2, seed, w_init, n, 1)
+    moments, _, m2 = _ensemble_sums(spec, ensemble, workers)
+    # a diverging ensemble's standard errors fail EnsembleMoments' check,
+    # so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         ses = (np.sqrt(m2 / (ensemble - 1)) / math.sqrt(ensemble)).tolist()
-    return EnsembleMoments(*(sums / ensemble).tolist(), *ses, ensemble=ensemble)
+    return EnsembleMoments(*(moments[:, 0] / ensemble).tolist(), *ses, ensemble=ensemble)
 
 
 @dataclass(frozen=True)
@@ -410,17 +406,10 @@ def validate_model_recursion(
     """
     if not isinstance(input_model, WhiteGaussian):
         raise TypeError("model validation is defined for white Gaussian input only")
-    moments, trq = np.zeros((5, horizon)), np.zeros(horizon + 1)
-    results = _leaf_results(plant, input_model, cfg, sigma_z2, ensemble, seed, None, 0, horizon,
-                            workers)
+    spec = (plant, input_model, cfg, sigma_z2, seed, None, 0, horizon)
+    moments, trq, _ = _ensemble_sums(spec, ensemble, workers)
     # a diverging case overflows to inf and nan; its deviation reads NaN,
-    # which fails the tolerance, so numpy need not warn about it.  Each
-    # leaf silences its own overflows; only the sums and the model are
-    # taken here.
-    for leaf_moments, leaf_trq, _ in results:
-        with np.errstate(over="ignore", invalid="ignore"):
-            moments += leaf_moments
-            trq += leaf_trq
+    # which fails the tolerance, so numpy need not warn about it
     with np.errstate(over="ignore", invalid="ignore"):
         g, h, ell, r1, r2 = moments / ensemble
         trq /= ensemble

@@ -27,6 +27,7 @@ __all__ = [
     "VpState",
     "default_mu_max",
     "estimate_emse",
+    "g_terms",
     "compute_g",
     "compute_r1",
     "one_step_plant_estimate",
@@ -137,10 +138,17 @@ def estimate_emse(vp: VpState, e_n: float) -> float:
     return max(vp.e_smooth * vp.e_smooth - vp.sigma_z2, vp.zeta_min)
 
 
+def g_terms(sigma_z2: float, sigma_u2: float, L: int) -> tuple[float, float]:
+    """``(g0, g1)`` of the quadratic step-size moment ``g = g0 + g1 zeta``
+    under white Gaussian input: ``g0 = sigma_z2 sigma_u2 L`` and
+    ``g1 = (2 + L) sigma_u2``."""
+    return sigma_z2 * sigma_u2 * L, (2.0 + L) * sigma_u2
+
+
 def compute_g(vp: VpState, zeta_hat: float) -> float:
-    """Quadratic step-size moment under white Gaussian input:
-    ``sigma_z2 sigma_u2 L + (2 + L) sigma_u2 zeta``."""
-    return vp.sigma_z2 * vp.sigma_u2 * vp.L + (2.0 + vp.L) * vp.sigma_u2 * zeta_hat
+    """Quadratic step-size moment under white Gaussian input (:func:`g_terms`)."""
+    g0, g1 = g_terms(vp.sigma_z2, vp.sigma_u2, vp.L)
+    return g0 + g1 * zeta_hat
 
 
 def compute_r1(zeta_hat: float) -> float:
@@ -300,7 +308,7 @@ def _vp_rows_iteration(vps: list[VpState], u, e, beta_s, out):
     and the engine records the row as diverged at that step.
     """
     L, sigma_z2, sigma_u2 = vps[0].L, vps[0].sigma_z2, vps[0].sigma_u2
-    g0, g1 = sigma_z2 * sigma_u2 * L, (2.0 + L) * sigma_u2  # g = g0 + g1 * zeta
+    g0, g1 = g_terms(sigma_z2, sigma_u2, L)  # g = g0 + g1 * zeta
     hs = row_dot(beta_s, beta_s).ravel().tolist()
     ubs = row_dot(u, beta_s).ravel().tolist()
     uus = row_dot(u, u).tolist() * len(e)

@@ -446,7 +446,7 @@ def test_validate_model_json_is_the_same_on_any_worker_count(monkeypatch, capsys
 
 def _leaf_out_of_memory(task):
     """The leaf worker, except that the second leaf cannot allocate."""
-    if task[1] == 1:
+    if task[1][0] == 1:
         np.empty((2**30, 2**20))  # 8 PiB: refused before any page is touched
     return _leaf_sums(task)
 
@@ -540,7 +540,7 @@ def test_huge_run_count_starts_without_listing_its_blocks():
         run_block, seen = harness._run_block, []
 
         def third_raises(task):
-            seen.append(task[1:])
+            seen.append(task[1])
             if len(seen) == 3:
                 raise Marker
             return run_block(task)
@@ -557,7 +557,7 @@ def test_huge_run_count_starts_without_listing_its_blocks():
                               env=_child_env(OPENBLAS_NUM_THREADS="1"),
                               capture_output=True, text=True, timeout=10)
         assert proc.returncode == 0, (runs, proc.stderr)
-        assert proc.stdout == "marker [(0, 20), (20, 20), (40, 20)]\n", runs
+        assert proc.stdout == "marker [(0, 0, 20), (1, 20, 20), (2, 40, 20)]\n", runs
 
 
 @pytest.mark.parametrize("ensemble", HUGE_COUNTS.values(), ids=HUGE_COUNTS.keys())
@@ -582,7 +582,7 @@ def test_huge_ensemble_starts_without_listing_its_leaves(ensemble):
         leaf_sums, seen = oracles._leaf_sums, []
 
         def third_raises(task):
-            seen.append(task[1:])
+            seen.append(task[1])
             if len(seen) == 3:
                 raise Marker
             return leaf_sums(task)
@@ -600,4 +600,4 @@ def test_huge_ensemble_starts_without_listing_its_leaves(ensemble):
                           env=_child_env(OPENBLAS_NUM_THREADS="1"),
                           capture_output=True, text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "marker [(0, 1024), (1, 1024), (2, 1024)]\n"
+    assert proc.stdout == "marker [(0, 0, 1024), (1, 1024, 1024), (2, 2048, 1024)]\n"

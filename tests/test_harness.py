@@ -193,7 +193,7 @@ def test_divergence_across_blocks_merges_in_run_order():
     scalar fold's, the stable row's curve is the one it has without the
     unstable row, and 1 and 2 workers agree."""
     cfg = _diverging_cfg()
-    assert list(gslms.harness._blocks(41)) == [(0, 14), (14, 14), (28, 13)]
+    assert list(gslms.harness.leaves(41, 3)) == [(0, 0, 14), (1, 14, 14), (2, 28, 13)]
     with np.errstate(over="ignore", invalid="ignore"):
         serial = run_experiment(cfg, workers=1)
         pooled = run_experiment(cfg, workers=2)
@@ -438,7 +438,7 @@ def test_diverging_row_leaves_other_rows_unchanged():
     cfg = _small_cfg(runs=3, iterations=800, algorithms=others + (unstable,))
     with np.errstate(over="ignore", invalid="ignore"):
         mixed = _rows_by_name(cfg, 0, gslms.harness._advance_block(cfg, 0, 3))
-        survivors = _rows_by_name(cfg, *gslms.harness._run_block((cfg, 0, 3)))
+        survivors = _rows_by_name(cfg, 0, gslms.harness._run_block((cfg, (0, 0, 3))))
         expected = [[r, _scalar_fold(cfg, unstable, r)[3]] for r in range(3)]
     clean_cfg = replace(cfg, algorithms=others)
     clean = _rows_by_name(clean_cfg, 0, gslms.harness._advance_block(clean_cfg, 0, 3))
@@ -638,18 +638,23 @@ def test_block_leaves_a_diverged_vp_row_dead(monkeypatch):
         assert_array_equal(out["vp-gza"][i], clean["vp-gza"][i])
 
 
-def test_blocks_depend_on_run_count_only():
-    assert list(gslms.harness._blocks(1)) == [(0, 1)]
-    assert list(gslms.harness._blocks(20)) == [(0, 20)]
-    assert list(gslms.harness._blocks(45)) == [(0, 15), (15, 15), (30, 15)]
-    assert list(gslms.harness._blocks(101)) == [(0, 17), (17, 17), (34, 17), (51, 17),
-                                                (68, 17), (85, 16)]
-    for runs in range(1, 130):
-        blocks = list(gslms.harness._blocks(runs))
-        assert max(c for _, c in blocks) <= gslms.harness.BLOCK_RUNS
-        assert max(c for _, c in blocks) - min(c for _, c in blocks) <= 1
-        assert [f for f, _ in blocks] == [sum(c for _, c in blocks[:k]) for k in range(len(blocks))]
-        assert sum(c for _, c in blocks) == runs
+@given(total=st.integers(0, 10**6), count=st.integers(1, 2000))
+def test_leaves_split_the_total_in_order(total, count):
+    """``leaves`` covers ``total`` with ``count`` contiguous leaves, numbered
+    in order, whose sizes differ by at most 1, the larger first: the
+    largest is ceil(total / count), so the engine's ceil(runs / BLOCK_RUNS)
+    blocks hold at most BLOCK_RUNS runs, and the smallest is
+    total // count, so the oracle's at most E // 2 leaves hold at least 2
+    members each."""
+    got = list(gslms.harness.leaves(total, count))
+    sizes = [size for _, _, size in got]
+    assert [index for index, _, _ in got] == list(range(count))
+    assert [first for _, first, _ in got] == [sum(sizes[:k]) for k in range(count)]
+    assert sum(sizes) == total
+    assert sizes == sorted(sizes, reverse=True)
+    assert sizes[0] == -(-total // count) and sizes[-1] == total // count
+    if count <= total // 2:
+        assert sizes[-1] >= 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Unit tests for the brute-force oracles (grid search, finite differences,
 ensemble moment estimation, recursion validation)."""
 
+import ast
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -16,12 +18,12 @@ from gslms.groups import (
     attractor_direction,
     attractor_term,
 )
+import gslms.harness
 import gslms.oracles
 from gslms.oracles import (
     EnsembleMoments,
     _Leaf,
     _attractor_matrix,
-    _leaves,
     ensemble_moments,
     finite_diff_subgradient,
     grid_minimize_quadratic,
@@ -43,6 +45,36 @@ def _grza_config(L=35, mu=0.0, rho=0.0):
 
 def _lms_config(L=35, mu=0.0):
     return FilterConfig(L=L, partition=GroupPartition.contiguous(L, 5), mu=mu)
+
+
+# ---------------------------------------------------------------------------
+# independence from the main path
+
+MAIN_PATH_KERNELS = {"row_dot", "_attractor_rows", "attractor_term", "step", "vp_iteration",
+                     "_vp_rows_iteration", "simulate_plant", "scalar_stream"}
+
+
+def test_oracles_share_only_the_dispatch_with_the_main_path():
+    """The oracles re-derive every quantity, so they cannot share the main
+    path's bugs: from the engine's module they import only the leaf
+    dispatch, and they import none of the main path's kernels, by name or
+    through a whole module."""
+    tree = ast.parse(pathlib.Path(gslms.oracles.__file__).read_text(encoding="utf-8"))
+    names, modules = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.append(node.module)
+            names |= {alias.name for alias in node.names}
+            if node.level == 1 and node.module == "harness":
+                assert [alias.name for alias in node.names] == ["ordered_map"]
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert "harness" in modules
+    assert not names & MAIN_PATH_KERNELS
+    # ``from . import groups`` (module None) or ``import gslms.groups`` would
+    # reach every kernel as an attribute
+    assert None not in modules
+    assert not any(module.startswith("gslms") for module in modules), modules
 
 
 # ---------------------------------------------------------------------------
@@ -342,16 +374,15 @@ def _step_major_inputs(model, ensemble, steps, rng):
 
 
 def _reference_leaves(plant, model, cfg, sigma_z2, steps, ensemble, seed, w_init=None):
-    """The ensemble leaf by leaf.  The leaves are the `count` near-equal
-    runs of members, count = max(1, min(ceil(E / TILE_MEMBERS), E // 2)),
+    """The ensemble leaf by leaf.  The leaves are harness.leaves of the
+    ensemble in count = max(1, min(ceil(E / TILE_MEMBERS), E // 2)) parts,
     each one (L, T) block with the full step-major input and noise of its
     own two generators, every step sampled with the oracle's kernels in
     their order.  Yields each leaf's (steps, 5, T) moment samples and
     (steps + 1, T) squared weight errors."""
     L = cfg.L
     count = max(1, min(-(-ensemble // gslms.oracles.TILE_MEMBERS), ensemble // 2))
-    for index in range(count):
-        members = ensemble * (index + 1) // count - ensemble * index // count
+    for index, _, members in gslms.harness.leaves(ensemble, count):
         x_rng, z_rng = _leaf_generators(seed, index)
         xr = np.zeros((steps + L - 1, members))
         xr[:steps] = _step_major_inputs(model, members, steps, x_rng)[::-1]
@@ -568,7 +599,13 @@ def test_results_do_not_depend_on_the_block_length_or_the_worker_count(monkeypat
     plant = benchmark_plants()[0]
     configs = tuple(_three_configs().values())
     monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", 7)
-    assert gslms.oracles._leaf_count(LEAF_ENSEMBLE) == 7
+    counts, dispatch = [], gslms.oracles.ordered_map
+
+    def counted(func, spec, total, count, workers):
+        counts.append(count)
+        return dispatch(func, spec, total, count, workers)
+
+    monkeypatch.setattr(gslms.oracles, "ordered_map", counted)
 
     def results(workers):
         reports = [
@@ -598,6 +635,7 @@ def test_results_do_not_depend_on_the_block_length_or_the_worker_count(monkeypat
     for block in (1, 3, 5, HORIZON, HORIZON + 5):
         monkeypatch.setattr(gslms.oracles, "BLOCK_STEPS", block)
         same(results(1), want, f"block {block}")
+    assert set(counts) == {7}
 
 
 @pytest.mark.parametrize("tile", [1, 7, LEAF_ENSEMBLE - 1, LEAF_ENSEMBLE, LEAF_ENSEMBLE + 5])
@@ -640,17 +678,12 @@ def test_results_do_not_depend_on_the_tile_size(monkeypatch, tile):
 def test_no_tile_is_narrower_than_two_members(monkeypatch, ensemble):
     """A one-member leaf would sum its dot products in another order: at 2
     members a leaf of 1, and at 1025 a last leaf of 1 after 1024.  For any
-    tile size the leaves are numbered in order and cover the ensemble in
-    near-equal runs of 2 or more members, and the report matches the
-    leaf-by-leaf reference."""
+    tile size the report matches the leaf-by-leaf reference, whose leaves
+    have 2 or more members (test_harness checks the split itself)."""
     plant = benchmark_plants()[0]
     cfg = _grza_config(mu=0.005, rho=1e-4)
     for tile in (1, 1024, 2 * ensemble):
         monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", tile)
-        leaves = list(_leaves(ensemble))
-        sizes = [members for _, members in leaves]
-        assert [index for index, _ in leaves] == list(range(len(leaves))), tile
-        assert sum(sizes) == ensemble and min(sizes) >= 2 and max(sizes) - min(sizes) <= 1, tile
         report = validate_model_recursion(plant, WhiteGaussian(1.0), cfg, sigma_z2=0.01,
                                           horizon=6, ensemble=ensemble, seed=8)
         _, trq = _reference_means(plant, WhiteGaussian(1.0), cfg, 0.01, 6, ensemble, 8)
