@@ -1,9 +1,10 @@
 #!/bin/sh
 # Full-scale reproduction of the two built-in benchmarks (100 runs each).
 # Each spreads its five 20-run blocks over one process per usable CPU by
-# default.  Both commands together took 15-16 s (two runs) that way on a
-# shared 2-vCPU Xeon host (Python 3.11, numpy 2.4.6); pass --workers N to
-# set the process count, or --runs N for a quicker look.
+# default (their wall time is recorded in CHANGES.md, "One sampled `advance`
+# for any horizon; `--workers` defaults to the usable CPUs; criterion 7
+# reaches the pool").  Pass --workers N to set the process count, or --runs N
+# for a quicker look.
 set -e
 
 OUT="${GSLMS_OUTPUT_DIR:-results}"

@@ -6,18 +6,18 @@ grid search, central finite differences, or a vectorized Monte-Carlo ensemble
 against something that cannot share their bugs.  The ensemble simulator
 advances all weight-error trajectories with batched numpy expressions rather
 than reusing the per-sample filter loop.  It splits the members into fixed
-near-equal leaves and simulates each leaf from start to finish on its own
-input and noise streams, stored taps x members, so the member axis has unit
-stride: a step's regressors are one contiguous (L, T) block of the leaf's
-rolling window of time-reversed inputs, and every kernel of the fused step
-runs along whole rows of members.  The input and the noise are drawn
-step-major one block of steps at a time, so a leaf's memory grows neither
-with the number of steps nor with the ensemble.  A leaf returns its per-step
-sums over its members, and the caller adds them in leaf order, so the leaves
-can run on any number of worker processes with the same result.  A leaf
-takes the per-member moment samples only when asked:
-validate_model_recursion samples every step and keeps only the per-step
-means, while ensemble_moments samples its final step alone.
+near-equal leaves and simulates each leaf from start to finish, in one step
+loop, on its own input and noise streams.  A leaf is stored taps x members,
+so the member axis has unit stride: a step's regressors are one contiguous
+(L, T) block of the leaf's rolling window of time-reversed inputs, and every
+kernel of the step runs along whole rows of members.  The input and the
+noise are drawn step-major one block of steps at a time, so a leaf's memory
+grows neither with the number of steps nor with the ensemble.  The loop's
+first steps only update; each later step adds its moment samples and its
+squared weight errors to the leaf's per-step sums at once.  The caller adds
+the leaves' sums in leaf order, so the leaves can run on any number of
+worker processes with the same result.  validate_model_recursion samples
+every step, and ensemble_moments samples only the step after its warm-up.
 """
 from __future__ import annotations
 
@@ -37,9 +37,10 @@ from .varparam import MomentEstimates
 # rows stay in a core's L2 cache across the dozen kernels of one step.  Each
 # leaf draws from its own streams, so this size fixes the numbers.
 TILE_MEMBERS = 1024
-# Most steps of one block.  A block draws (BLOCK_STEPS, T) inputs and noise
-# for a leaf of T members, and a sampled one keeps each step's per-member
-# samples, (BLOCK_STEPS, 6, T) doubles, until it has summed them.
+# Most steps of one block of draws.  A leaf of T members draws its input and
+# noise (BLOCK_STEPS, T) at a time and holds them in a rolling window of
+# BLOCK_STEPS + L - 1 rows.  The draws are step-major, so this length does
+# not change the numbers.
 BLOCK_STEPS = 8
 
 
@@ -134,162 +135,119 @@ def _attractor_matrix(
     return np.divide(W, np.repeat(safe, p.sizes, axis=0), out=out)
 
 
-class _Leaf:
-    """Batched simulation of one leaf's T independent trajectories.
+def _leaf_steps(model, L, sigma_z2, seed, index, T, total):
+    """Yield the regressors and the noise of one leaf's T members at each of
+    `total` steps: a C-contiguous (L, T) block of time-reversed inputs, one
+    column per member, and the (T,) noise.  Both are drawn step-major, (K,
+    T) per block of at most K = BLOCK_STEPS steps, from the leaf's own two
+    generators, ``SeedSequence(seed, spawn_key=(index,)).spawn(2)``; an
+    AR(1) member's state runs on from block to block after a 1000-step
+    burn-in, so the draws do not depend on the block length.  The inputs
+    roll through one (K + L - 1, T) window, zero at the start (the padding
+    before the first step): a block of k steps moves the L - 1 latest
+    inputs down to rows k to k+L-2 and writes its own, latest first, in
+    rows 0 to k-1, so its j-th step reads rows k-1-j to k-2-j+L.  The window
+    is rewritten in place, so a caller that keeps a block copies it."""
+    if isinstance(model, WhiteGaussian):
+        x_sd, prev = math.sqrt(model.variance), None
+    elif isinstance(model, AR1GaussianMixture):
+        x_sd, prev = math.sqrt(model.sigma_v2), np.zeros(T)
+    else:
+        raise TypeError(f"unsupported input model {type(model).__name__}")
+    z_sd = math.sqrt(sigma_z2)
+    x_rng, z_rng = (np.random.default_rng(s)
+                    for s in np.random.SeedSequence(seed, spawn_key=(index,)).spawn(2))
 
-    The members are stored taps x members, so the member axis has unit
-    stride: (L, T) weight-error rows and a rolling (K + L - 1, T) window of
-    the time-reversed input (one column per member), K = BLOCK_STEPS.  The
-    input and the noise are drawn step-major, (count, T) per block of at
-    most K steps, from the leaf's own two generators,
-    ``SeedSequence(seed, spawn_key=(index,)).spawn(2)``, and an AR(1)
-    member's state carries from block to block, so the draws do not depend
-    on the block length, and no more than a block of them is ever held.
-    At the start of a block of count steps the window moves its L - 1
-    latest inputs down to rows count to count+L-2 and takes the block's
-    inputs, latest first, in rows 0 to count-1, so step k of the block
-    reads its regressors as the contiguous rows count-1-k to count-2-k+L;
-    the window starts at zero, which is the zero padding before the first
-    step.  The plant is one (L, T) block of equal columns, so each operand
-    of the weight sum has unit stride.  A sampled block also writes each
-    member's five moment samples at its k-th step into the (K, 5, T) buffer
-    samples[k] and its squared weight error after that update into the
-    (K, T) buffer trq_rows[k], and sums both over the members.
-    """
+    def ar1_step():
+        """Every member's next input x_t = v_t + alpha x_{t-1}: T uniforms
+        pick the signs of the mixture means, then T normals."""
+        nonlocal prev
+        signs = np.where(x_rng.random(T) < 0.5, -1.0, 1.0)
+        prev = model.a * x_sd * signs + x_rng.normal(0.0, x_sd, size=T) + model.alpha * prev
+        return prev
 
-    def __init__(
-        self,
-        plant: np.ndarray,
-        input_model,
-        cfg: FilterConfig,
-        sigma_z2: float,
-        members: int,
-        seed: int,
-        index: int,
-        w_init: np.ndarray | None = None,
-    ):
-        plant = np.asarray(plant, dtype=float)
-        L = cfg.L
-        if plant.shape != (L,):
-            raise ValueError("plant length must match the filter length")
-        if isinstance(input_model, WhiteGaussian):
-            self._x_sd, self._x_prev = math.sqrt(input_model.variance), None
-        elif isinstance(input_model, AR1GaussianMixture):
-            self._x_sd, self._x_prev = math.sqrt(input_model.sigma_v2), np.zeros(members)
+    if prev is not None:
+        for _ in range(1000):  # burn-in
+            ar1_step()
+    K = BLOCK_STEPS
+    xr = np.zeros((K + L - 1, T))
+    for done in range(0, total, K):
+        k = min(K, total - done)
+        if prev is None:
+            x = x_rng.normal(0.0, x_sd, size=(k, T))
         else:
-            raise TypeError(f"unsupported input model {type(input_model).__name__}")
-        self._input_model, self._members = input_model, members
-        self._z_sd = math.sqrt(sigma_z2)
-        self._x_rng, self._z_rng = (
-            np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed, spawn_key=(index,)).spawn(2))
-        if self._x_prev is not None:
-            for _ in range(1000):  # burn-in
-                self._ar1_step()
-        self._block = BLOCK_STEPS
-        # rows g, h, ell, r1, r2; an LMS leaf never writes h, ell or r2,
-        # which are exactly 0 without an attractor
-        self.samples = np.zeros((self._block, 5, members))
-        self.trq_rows = np.empty((self._block, members))
-        self._xr = np.zeros((self._block + L - 1, members))
-        w0 = np.zeros(L) if w_init is None else np.asarray(w_init, dtype=float)
-        self.wt = np.broadcast_to((w0 - plant)[:, None], (L, members)).copy()
-        self._plant = np.broadcast_to(plant[:, None], (L, members)).copy()
-        self.cfg = cfg
-        self.g_floor = sigma_z2 * (L * stationary_power(input_model))  # sigma_z2 tr{R_u}
-        self._a = np.empty(members)
-        self._scratch = np.empty((L, members))
-        self._bs = np.empty((L, members)) if cfg.mode is not None else None
-
-    def _ar1_step(self) -> np.ndarray:
-        """Every member's next AR(1)-mixture input x_t = v_t + alpha x_{t-1}:
-        T uniforms pick the signs of the mixture means, then T normals."""
-        m, rng, T = self._input_model, self._x_rng, self._members
-        signs = np.where(rng.random(T) < 0.5, -1.0, 1.0)
-        x = m.a * self._x_sd * signs + rng.normal(0.0, self._x_sd, size=T)
-        x += m.alpha * self._x_prev
-        self._x_prev = x
-        return x
-
-    def _inputs(self, count: int) -> np.ndarray:
-        """Every member's input at the next count steps, (count, T)."""
-        if self._x_prev is None:
-            return self._x_rng.normal(0.0, self._x_sd, size=(count, self._members))
-        return np.stack([self._ar1_step() for _ in range(count)])
-
-    def advance(self, count: int, sample: bool = False):
-        """Apply the filter updates of the next count steps to every member,
-        in blocks of at most K steps.  With sample, also take the five
-        moment samples at each step and, after its update, each member's
-        squared weight error, and return their sums over the members: the
-        (5, count) rows g, h, ell, r1, r2 and the (count,) squared weight
-        errors.  The attractor is evaluated only when the samples or the
-        update read it."""
-        cfg, L = self.cfg, self.cfg.L
-        attract = cfg.mode is not None and (sample or cfg.rho != 0.0)
-        shrink = cfg.mode is not None and cfg.rho != 0.0
-        xr, Wt, P, a, S, B = self._xr, self.wt, self._plant, self._a, self._scratch, self._bs
-        if sample:
-            moments, trq = np.empty((5, count)), np.empty(count)
-        for done in range(0, count, self._block):
-            steps = min(self._block, count - done)
-            x = self._inputs(steps)
-            z = self._z_rng.normal(0.0, self._z_sd, size=x.shape)
-            xr[steps:steps + L - 1] = xr[:L - 1]
-            xr[:steps] = x[::-1]
-            for k in range(steps):
-                U = xr[steps - 1 - k:steps - 1 - k + L]
-                np.einsum("lt,lt->t", Wt, U, out=a)
-                if attract:
-                    BS = _attractor_matrix(np.add(Wt, P, out=S), cfg.partition, cfg.mode, B)
-                if sample:
-                    g, h, ell, r1, r2 = self.samples[k]
-                    np.multiply(a, a, out=r1)
-                    np.einsum("lt,lt->t", U, U, out=g)
-                    g *= r1
-                    g += self.g_floor
-                    if cfg.mode is not None:
-                        np.einsum("lt,lt->t", BS, BS, out=h)
-                        np.einsum("lt,lt->t", U, BS, out=ell)
-                        ell *= a
-                        np.einsum("lt,lt->t", BS, Wt, out=r2)
-                e = np.subtract(z[k], a, out=a)
-                e *= cfg.mu
-                Wt += np.multiply(e, U, out=S)
-                if shrink:
-                    Wt -= np.multiply(BS, cfg.rho, out=S)
-                if sample:
-                    np.einsum("lt,lt->t", Wt, Wt, out=self.trq_rows[k])
-            if sample:
-                moments[:, done:done + steps] = self.samples[:steps].sum(axis=2).T
-                trq[done:done + steps] = self.trq_rows[:steps].sum(axis=1)
-            del x, z  # so the next block's draws are not made beside these
-        if sample:
-            return moments, trq
+            x = np.stack([ar1_step() for _ in range(k)])
+        z = z_rng.normal(0.0, z_sd, size=(k, T))
+        xr[k:k + L - 1] = xr[:L - 1]
+        xr[:k] = x[::-1]
+        for j in range(k):
+            yield xr[k - 1 - j:k - 1 - j + L], z[j]
 
 
 def _leaf_sums(task):
-    """Worker: simulate one leaf from start to finish.  It advances `warm`
-    steps unsampled, then samples `count` steps, and returns three sums over
-    its members: the (5, count) moment rows, the (count + 1,) squared weight
-    errors before the first sampled step and after each, and the (5,)
-    squared deviations of the last sampled step's moments from their leaf
-    mean (zeros for count = 0)."""
+    """Worker: simulate one leaf from start to finish.  Its members are
+    stored taps x members, (L, T), so every kernel runs along whole rows of
+    members.  The first `warm` steps only update; each of the next `count`
+    steps also takes the five moment samples of every member and its squared
+    weight error before the update.  Returns three sums over the members:
+    the (5, count) moment rows, the (count + 1,) squared weight errors
+    before each sampled step and after the last, and the (5,) squared
+    deviations of the last sampled step's moments from their leaf mean
+    (zeros for count = 0).  The attractor is evaluated only at the steps
+    whose samples or update read it."""
     (plant, input_model, cfg, sigma_z2, seed, w_init, warm, count), (index, _, members) = task
-    leaf = _Leaf(plant, input_model, cfg, sigma_z2, members, seed, index, w_init)
+    plant = np.asarray(plant, dtype=float)
+    L, mode, mu, rho = cfg.L, cfg.mode, cfg.mu, cfg.rho
+    if plant.shape != (L,):
+        raise ValueError("plant length must match the filter length")
+    steps = _leaf_steps(input_model, L, sigma_z2, seed, index, members, warm + count)
+    g_floor = sigma_z2 * (L * stationary_power(input_model))  # sigma_z2 tr{R_u}
+    shrink = mode is not None and rho != 0.0
+    w0 = np.zeros(L) if w_init is None else np.asarray(w_init, dtype=float)
+    Wt = np.broadcast_to((w0 - plant)[:, None], (L, members)).copy()
+    # one (L, T) block of equal columns, so each operand of the weight sum
+    # has unit stride
+    P = np.broadcast_to(plant[:, None], (L, members)).copy()
+    a, S = np.empty(members), np.empty((L, members))
+    B = np.empty((L, members)) if mode is not None else None
+    # per member, rows g, h, ell, r1, r2 and the squared weight error, all
+    # summed by one reduction per sampled step; an LMS leaf never writes h,
+    # ell or r2, which are exactly 0 without an attractor
+    samples = np.zeros((6, members))
+    g, h, ell, r1, r2, sq = samples
+    sums = np.empty((6, count + 1))
     # a diverging leaf overflows to inf and nan, which the caller reports;
     # a pool worker does not run under the caller's errstate, so the leaf
     # sets its own
     with np.errstate(over="ignore", invalid="ignore"):
-        leaf.advance(warm)
-        first = np.einsum("lt,lt->t", leaf.wt, leaf.wt).sum()
-        moments, trq = leaf.advance(count, sample=True)
+        for t, (U, z) in enumerate(steps, -warm):
+            np.einsum("lt,lt->t", Wt, U, out=a)
+            if mode is not None and (t >= 0 or shrink):
+                BS = _attractor_matrix(np.add(Wt, P, out=S), cfg.partition, mode, B)
+            if t >= 0:
+                np.einsum("lt,lt->t", Wt, Wt, out=sq)
+                np.multiply(a, a, out=r1)
+                np.einsum("lt,lt->t", U, U, out=g)
+                g *= r1
+                g += g_floor
+                if mode is not None:
+                    np.einsum("lt,lt->t", BS, BS, out=h)
+                    np.einsum("lt,lt->t", U, BS, out=ell)
+                    ell *= a
+                    np.einsum("lt,lt->t", BS, Wt, out=r2)
+                np.add.reduce(samples, axis=1, out=sums[:, t])
+            e = np.subtract(z, a, out=a)
+            e *= mu
+            Wt += np.multiply(e, U, out=S)
+            if shrink:
+                Wt -= np.multiply(BS, rho, out=S)
         spread = np.zeros(5)
         if count:
-            last = leaf.samples[(count - 1) % leaf._block]
+            last = samples[:5]
             dev = last - last.mean(axis=1, keepdims=True)
             spread = np.multiply(dev, dev, out=dev).sum(axis=1)
-    return moments, np.concatenate(([first], trq)), spread
+        sums[5, count] = np.einsum("lt,lt->t", Wt, Wt, out=sq).sum()
+    return sums[:5, :count], sums[5], spread
 
 
 def _ensemble_sums(spec, ensemble, workers):

@@ -31,6 +31,7 @@ from gslms.harness import (
     stage_windows,
     steady_state_db,
 )
+from gslms.oracles import validate_model_recursion
 from gslms.signals import (
     AR1GaussianMixture, WhiteGaussian, benchmark_schedule, scalar_stream, simulate_plant,
 )
@@ -655,6 +656,58 @@ def test_leaves_split_the_total_in_order(total, count):
     assert sizes[0] == -(-total // count) and sizes[-1] == total // count
     if count <= total // 2:
         assert sizes[-1] >= 2
+
+
+# ---------------------------------------------------------------------------
+# the fixed-parameter curves against the independent ensemble oracle
+
+ORACLE_WINDOWS = ((0, 50), (50, 150), (150, 300))
+# Fixed before measuring.  Each side's window means spread from seed to
+# seed, and that spread gives the standard error of its mean.
+ENGINE_SEEDS = tuple(range(2024, 2032))  # master seeds, 125 runs each
+ORACLE_SEEDS = tuple(range(1, 9))  # ensemble seeds, 2500 members each
+# Ten other seed lists of this size read |z| <= 3.4 on the code as it is.
+# A flipped attractor sign, GRZA reweighting on the GZA row and a regressor
+# window one step ahead of the desired signal each read |z| far above it.
+ORACLE_Z_BOUND = 5.0
+
+
+def test_fixed_rows_match_the_ensemble_oracle():
+    """exp1's fixed lms, gza and grza curves over the stage-1 plant agree
+    with the mean squared weight error after each update of the validation
+    ensemble, which simulates the same filters with none of the engine's
+    kernels.  Each window mean differs by at most ORACLE_Z_BOUND combined
+    standard errors."""
+    N = ORACLE_WINDOWS[-1][1]
+    exp1 = builtin_config("exp1")
+    fixed = tuple(a for a in exp1.algorithms if not a.variable)
+    assert [a.name for a in fixed] == ["lms", "gza", "grza"]
+    cfg = replace(exp1, runs=125, iterations=N, algorithms=fixed)
+    schedule = experiment_schedule(cfg)
+    assert schedule.stage_bounds()[0][1] >= N  # stage 1 only
+    plant = schedule.segments[0][1]
+    partition = GroupPartition.contiguous(schedule.L, cfg.group_size)
+
+    def window_means(curve):
+        return [curve[lo:hi].mean() for lo, hi in ORACLE_WINDOWS]
+
+    engine = {a.name: [] for a in fixed}
+    for seed in ENGINE_SEEDS:
+        for curve in run_experiment(replace(cfg, master_seed=seed), workers=2):
+            engine[curve.name].append(window_means(curve.msd))
+    z = {}
+    for a in fixed:
+        mode = None if a.mode is None else AttractorMode(a.mode, cfg.epsilon)
+        filt = FilterConfig(schedule.L, partition, mode, mu=a.mu, rho=a.rho)
+        oracle = [
+            window_means(validate_model_recursion(plant, WhiteGaussian(1.0), filt, cfg.sigma_z2,
+                                                  N, 2500, seed, workers=2).trq[1:])
+            for seed in ORACLE_SEEDS
+        ]
+        e, o = np.array(engine[a.name]), np.array(oracle)
+        se = np.sqrt(e.var(axis=0, ddof=1) / len(e) + o.var(axis=0, ddof=1) / len(o))
+        z[a.name] = ((e.mean(axis=0) - o.mean(axis=0)) / se).tolist()
+    assert all(abs(v) <= ORACLE_Z_BOUND for row in z.values() for v in row), z
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import gslms.harness
 import gslms.oracles
 from gslms.oracles import (
     EnsembleMoments,
-    _Leaf,
     _attractor_matrix,
+    _leaf_steps,
     ensemble_moments,
     finite_diff_subgradient,
     grid_minimize_quadratic,
@@ -236,6 +236,18 @@ def test_ensemble_moments_plant_length_check():
             np.zeros(10), WhiteGaussian(1.0), _lms_config(L=35), sigma_z2=0.01,
             n=0, ensemble=10, seed=0,
         )
+    with pytest.raises(ValueError, match="plant length"):  # no step at all
+        validate_model_recursion(np.zeros(10), WhiteGaussian(1.0), _lms_config(L=35),
+                                 sigma_z2=0.01, horizon=0, ensemble=10, seed=0)
+
+
+def test_unsupported_input_model_is_rejected_before_any_step():
+    """At zero warm-up steps too, from the ensemble and from the stream."""
+    with pytest.raises(TypeError):
+        ensemble_moments(benchmark_plants()[0], object(), _lms_config(), sigma_z2=0.01,
+                         n=0, ensemble=10, seed=0)
+    with pytest.raises(TypeError, match="unsupported input model"):
+        next(_leaf_steps(object(), 35, 0.01, 0, 0, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +351,49 @@ def _leaf_generators(seed, index):
             for s in np.random.SeedSequence(seed, spawn_key=(index,)).spawn(2)]
 
 
+def _streamed(model, L, members, steps, seed, index):
+    """Every step's (L, T) regressor block and (T,) noise from _leaf_steps,
+    copied, since the generator rewrites its window in place.  Each block is
+    checked to be C-contiguous as it is yielded."""
+    windows, noise = [], []
+    for U, z in _leaf_steps(model, L, 0.01, seed, index, members, steps):
+        assert U.shape == (L, members) and U.flags.c_contiguous
+        assert z.shape == (members,)
+        windows.append(U.copy())
+        noise.append(z.copy())
+    assert len(windows) == steps
+    return np.array(windows), np.array(noise)
+
+
+STREAM_STEPS = 300
+# blocks of one step, of fewer steps than the default and of the default
+# (300 steps leave a partial block of 6 at 7 and of 4 at 8), and of more
+# steps than the stream has
+STREAM_BLOCKS = (1, 7, 8, STREAM_STEPS + 5)
+
+
 @pytest.mark.parametrize("alpha", [0.5, -0.7])
-def test_streamed_ar1_inputs_follow_the_scalar_recursion(alpha):
-    """After the 1000-step burn-in, each member's streamed input is
-    x_t = v_t + alpha x_{t-1} from x_{-1} = 0, over innovations drawn step
-    by step from the leaf's own input generator, whatever blocks it is
-    drawn in."""
-    model, members, steps, seed, index = AR1GaussianMixture(alpha=alpha), 8, 300, 2024, 3
-    run = _Leaf(benchmark_plants()[0], model, _lms_config(), 0.01, members, seed, index)
-    streamed = np.concatenate([run._inputs(count) for count in (1, 7, 92, 200)])
-    assert streamed.shape == (steps, members) and streamed.dtype == np.float64
+def test_streamed_ar1_inputs_follow_the_scalar_recursion(monkeypatch, alpha):
+    """After the 1000-step burn-in, each member's streamed input (the latest
+    row of each step's window) is x_t = v_t + alpha x_{t-1} from x_{-1} = 0,
+    over innovations drawn step by step from the leaf's own input generator,
+    whatever the block length."""
+    model, L, members, seed, index = AR1GaussianMixture(alpha=alpha), 35, 8, 2024, 3
     rng = _leaf_generators(seed, index)[0]
-    v = [_innovations(model, rng, members).tolist() for _ in range(1000 + steps)]
+    v = [_innovations(model, rng, members).tolist() for _ in range(1000 + STREAM_STEPS)]
+    want = []
     for m in range(members):
         x, xs = 0.0, []
         for v_t in v:
             x = v_t[m] + alpha * x
             xs.append(x)
-        assert streamed[:, m].tolist() == xs[1000:], m
+        want.append(xs[1000:])
+    for block in STREAM_BLOCKS:
+        monkeypatch.setattr(gslms.oracles, "BLOCK_STEPS", block)
+        streamed = _streamed(model, L, members, STREAM_STEPS, seed, index)[0][:, 0]
+        assert streamed.shape == (STREAM_STEPS, members) and streamed.dtype == np.float64
+        for m in range(members):
+            assert streamed[:, m].tolist() == want[m], (block, m)
 
 
 def _step_major_inputs(model, ensemble, steps, rng):
@@ -690,24 +727,22 @@ def test_no_tile_is_narrower_than_two_members(monkeypatch, ensemble):
         assert np.array_equal(report.trq, trq), tile
 
 
-def test_each_step_reads_the_reversed_sliding_window():
-    """Block by block, step t reads the reversed, zero-padded window of the
-    last L streamed inputs as one C-contiguous (L, T) block of the leaf."""
-    L, steps, members, seed, index, model = 35, 40, 7, 13, 2, AR1GaussianMixture()
-    run = _Leaf(benchmark_plants()[0], model, _lms_config(), 0.01, members, seed, index)
-    x = _step_major_inputs(model, members, steps, _leaf_generators(seed, index)[0])
+def test_each_step_reads_the_reversed_sliding_window(monkeypatch):
+    """Whatever the block length, step t reads the reversed, zero-padded
+    window of the last L streamed inputs as one C-contiguous (L, T) block
+    of the leaf, and the noise is the leaf's own step-major draws."""
+    L, members, seed, index, model = 35, 7, 13, 2, AR1GaussianMixture()
+    x_rng, z_rng = _leaf_generators(seed, index)
+    x = _step_major_inputs(model, members, STREAM_STEPS, x_rng)
+    z = z_rng.normal(0.0, 0.1, size=(STREAM_STEPS, members))
     padded = np.concatenate([np.zeros((L - 1, members)), x])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)  # (steps, T, L)
-    t = 0
-    for count in (3, 8, 1, 8, 5, 8, 7):  # blocks of the full and of fewer steps
-        run.advance(count)
-        for k in range(count):
-            U = run._xr[count - 1 - k:count - 1 - k + L]  # the block advance() reads at step t + k
-            assert U.shape == (L, members) and U.flags.c_contiguous
-            for j in range(members):
-                assert np.array_equal(U[:, j], windows[t + k, j, ::-1]), (t + k, j)
-        t += count
-    assert t == steps
+    want = np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)  # (steps, T, L)
+    want = want[:, :, ::-1].transpose(0, 2, 1)  # (steps, L, T), latest input first
+    for block in STREAM_BLOCKS:
+        monkeypatch.setattr(gslms.oracles, "BLOCK_STEPS", block)
+        windows, noise = _streamed(model, L, members, STREAM_STEPS, seed, index)
+        assert np.array_equal(windows, want), block
+        assert np.array_equal(noise, z), block
 
 
 def test_lms_attractor_moments_are_exactly_zero():
