@@ -146,7 +146,7 @@ def _cmd_validate(args) -> int:
             "tolerance": args.tol,
             "passed": ok,
             "reports": [r.to_dict() for r in reports],
-        }, indent=2, sort_keys=True))
+        }, indent=2, sort_keys=True, allow_nan=False))
     else:
         for r in reports:
             verdict = "pass" if r.max_rel_deviation <= args.tol else "FAIL"

@@ -41,8 +41,8 @@ class FilterConfig:
 
     ``mode is None`` selects plain LMS; otherwise the attractor mode picks
     the uniform or reweighted group attractor.  ``mu``/``rho`` are the
-    fixed-parameter values; they are ignored when ``variable_params`` is set
-    and the variable-parameter engine supplies them per step instead.
+    fixed-parameter values; :func:`step` takes its step size and shrinkage
+    as arguments, so a variable-parameter caller passes its own per step.
     Plain LMS has no attractor to scale, so it takes no nonzero ``rho``.
     """
 
@@ -51,7 +51,6 @@ class FilterConfig:
     mode: Optional[AttractorMode] = None
     mu: float = 0.0
     rho: float = 0.0
-    variable_params: bool = False
 
     def __post_init__(self):
         if self.partition.L != self.L:

@@ -9,15 +9,16 @@ than reusing the per-sample filter loop.  It splits the members into fixed
 near-equal leaves and simulates each leaf from start to finish, in one step
 loop, on its own input and noise streams.  A leaf is stored taps x members,
 so the member axis has unit stride: a step's regressors are one contiguous
-(L, T) block of the leaf's rolling window of time-reversed inputs, and every
-kernel of the step runs along whole rows of members.  The input and the
-noise are drawn step-major one block of steps at a time, so a leaf's memory
-grows neither with the number of steps nor with the ensemble.  The loop's
-first steps only update; each later step adds its moment samples and its
-squared weight errors to the leaf's per-step sums at once.  The caller adds
-the leaves' sums in leaf order, so the leaves can run on any number of
-worker processes with the same result.  validate_model_recursion samples
-every step, and ensemble_moments samples only the step after its warm-up.
+(L, T) block of the leaf's ring of time-reversed inputs, and every kernel
+of the step runs along whole rows of members.  The input and the noise are
+drawn one step at a time, and the ring holds only the latest L inputs (each
+twice), so a leaf's memory grows neither with the number of steps nor with
+the ensemble.  The loop's first steps only update; each later step adds its
+moment samples and its squared weight errors to the leaf's per-step sums at
+once.  The caller adds the leaves' sums in leaf order, so the leaves can run
+on any number of worker processes with the same result.
+validate_model_recursion samples every step, and ensemble_moments samples
+only the step after its warm-up.
 """
 from __future__ import annotations
 
@@ -37,11 +38,6 @@ from .varparam import MomentEstimates
 # rows stay in a core's L2 cache across the dozen kernels of one step.  Each
 # leaf draws from its own streams, so this size fixes the numbers.
 TILE_MEMBERS = 1024
-# Most steps of one block of draws.  A leaf of T members draws its input and
-# noise (BLOCK_STEPS, T) at a time and holds them in a rolling window of
-# BLOCK_STEPS + L - 1 rows.  The draws are step-major, so this length does
-# not change the numbers.
-BLOCK_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -138,16 +134,15 @@ def _attractor_matrix(
 def _leaf_steps(model, L, sigma_z2, seed, index, T, total):
     """Yield the regressors and the noise of one leaf's T members at each of
     `total` steps: a C-contiguous (L, T) block of time-reversed inputs, one
-    column per member, and the (T,) noise.  Both are drawn step-major, (K,
-    T) per block of at most K = BLOCK_STEPS steps, from the leaf's own two
-    generators, ``SeedSequence(seed, spawn_key=(index,)).spawn(2)``; an
-    AR(1) member's state runs on from block to block after a 1000-step
-    burn-in, so the draws do not depend on the block length.  The inputs
-    roll through one (K + L - 1, T) window, zero at the start (the padding
-    before the first step): a block of k steps moves the L - 1 latest
-    inputs down to rows k to k+L-2 and writes its own, latest first, in
-    rows 0 to k-1, so its j-th step reads rows k-1-j to k-2-j+L.  The window
-    is rewritten in place, so a caller that keeps a block copies it."""
+    column per member, and the (T,) noise.  Each step draws one (T,) input
+    row and one (T,) noise row from the leaf's own two generators,
+    ``SeedSequence(seed, spawn_key=(index,)).spawn(2)``, so the draws are
+    step-major; an AR(1) member's state runs on after a 1000-step burn-in.
+    The inputs go into a (2L, T) ring, zero at the start (the padding before
+    the first step): step t writes its input twice, to rows p = -t mod L
+    and p + L, so the latest L inputs, latest first, are always the rows p
+    to p + L - 1.  The ring is rewritten in place, so a caller that keeps a
+    block copies it."""
     if isinstance(model, WhiteGaussian):
         x_sd, prev = math.sqrt(model.variance), None
     elif isinstance(model, AR1GaussianMixture):
@@ -169,19 +164,11 @@ def _leaf_steps(model, L, sigma_z2, seed, index, T, total):
     if prev is not None:
         for _ in range(1000):  # burn-in
             ar1_step()
-    K = BLOCK_STEPS
-    xr = np.zeros((K + L - 1, T))
-    for done in range(0, total, K):
-        k = min(K, total - done)
-        if prev is None:
-            x = x_rng.normal(0.0, x_sd, size=(k, T))
-        else:
-            x = np.stack([ar1_step() for _ in range(k)])
-        z = z_rng.normal(0.0, z_sd, size=(k, T))
-        xr[k:k + L - 1] = xr[:L - 1]
-        xr[:k] = x[::-1]
-        for j in range(k):
-            yield xr[k - 1 - j:k - 1 - j + L], z[j]
+    ring = np.zeros((2 * L, T))
+    for t in range(total):
+        p = -t % L
+        ring[p] = ring[p + L] = x_rng.normal(0.0, x_sd, size=T) if prev is None else ar1_step()
+        yield ring[p:p + L], z_rng.normal(0.0, z_sd, size=T)
 
 
 def _leaf_sums(task):
@@ -327,17 +314,24 @@ class ModelValidationReport:
         return float(self.rel_deviation.max()) if self.rel_deviation.size else 0.0
 
     def to_dict(self) -> dict:
+        """The report as JSON values.  JSON has no NaN or infinity, so a
+        diverging case writes each such value as None (null)."""
+        def column(values):
+            finite = np.isfinite(values)
+            return (values if finite.all() else np.where(finite, values, None)).tolist()
+
+        peak = self.max_rel_deviation
         return {
             "mu": self.mu,
             "rho": self.rho,
             "mode": self.mode,
             "horizon": self.horizon,
             "ensemble": self.ensemble,
-            "max_rel_deviation": self.max_rel_deviation,
-            "trq": self.trq.tolist(),
-            "ensemble_increments": self.ensemble_increments.tolist(),
-            "model_increments": self.model_increments.tolist(),
-            "rel_deviation": self.rel_deviation.tolist(),
+            "max_rel_deviation": peak if math.isfinite(peak) else None,
+            "trq": column(self.trq),
+            "ensemble_increments": column(self.ensemble_increments),
+            "model_increments": column(self.model_increments),
+            "rel_deviation": column(self.rel_deviation),
         }
 
 

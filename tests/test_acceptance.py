@@ -185,7 +185,7 @@ def test_criterion_1_closed_form_examples(capsys):
     vp = VpState(L=1, sigma_z2=0.01, sigma_u2=1.0, gamma=0.0, gamma_prime=0.0,
                  mu_max=2.0 / 3.0)
     cfg1 = FilterConfig(L=1, partition=GroupPartition.singletons(1),
-                        mode=AttractorMode(GZA), variable_params=True)
+                        mode=AttractorMode(GZA))
     mu_1, rho_1 = vp_iteration(vp, initial_state(1), cfg1, np.array([1.0]), 1.0)
     zeta, g = 0.99, 0.01 + 3.0 * 0.99
     ok("vp first iteration", np.isclose(mu_1, min(zeta / g, 2.0 / 3.0), rtol=1e-12)

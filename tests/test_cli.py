@@ -1,7 +1,6 @@
 """Unit tests for the command-line front end's argument checks."""
 
 import json
-import math
 import os
 import pathlib
 import subprocess
@@ -419,17 +418,23 @@ def test_diverging_validate_model_case_fails_without_traceback(monkeypatch, capf
 def test_diverging_validate_model_json_reports_nan_as_failed(monkeypatch, capfd):
     """Over 400 steps the means themselves overflow; the deviation reads
     NaN, which is not within the tolerance.  So on one leaf and on 3 leaves
-    over 2 worker processes, with nothing on stderr."""
+    over 2 worker processes, with nothing on stderr.  JSON has no NaN or
+    infinity, so the report is strict JSON with null in their place."""
     _two_cpus(monkeypatch)
+
+    def not_json(token):
+        raise ValueError(f"not JSON: {token}")
+
     for ensemble in ("50", "2100"):
         rc = main(["validate-model", "--mu", "10", "--horizon", "400", "--ensemble", ensemble,
                    "--json"])
         out, err = capfd.readouterr()
-        report = json.loads(out)
+        report = json.loads(out, parse_constant=not_json)
         assert rc == 1
         assert err == "", ensemble
         assert report["passed"] is False
-        assert math.isnan(report["reports"][0]["max_rel_deviation"])
+        assert report["reports"][0]["max_rel_deviation"] is None
+        assert None in report["reports"][0]["rel_deviation"]
 
 
 def test_validate_model_json_is_the_same_on_any_worker_count(monkeypatch, capsys):

@@ -353,7 +353,7 @@ def _leaf_generators(seed, index):
 
 def _streamed(model, L, members, steps, seed, index):
     """Every step's (L, T) regressor block and (T,) noise from _leaf_steps,
-    copied, since the generator rewrites its window in place.  Each block is
+    copied, since the generator rewrites its ring in place.  Each block is
     checked to be C-contiguous as it is yielded."""
     windows, noise = [], []
     for U, z in _leaf_steps(model, L, 0.01, seed, index, members, steps):
@@ -365,19 +365,17 @@ def _streamed(model, L, members, steps, seed, index):
     return np.array(windows), np.array(noise)
 
 
+# more than 2L steps at L = 35, so the ring's write position p turns 8
+# times (once every L steps)
 STREAM_STEPS = 300
-# blocks of one step, of fewer steps than the default and of the default
-# (300 steps leave a partial block of 6 at 7 and of 4 at 8), and of more
-# steps than the stream has
-STREAM_BLOCKS = (1, 7, 8, STREAM_STEPS + 5)
 
 
 @pytest.mark.parametrize("alpha", [0.5, -0.7])
-def test_streamed_ar1_inputs_follow_the_scalar_recursion(monkeypatch, alpha):
+def test_streamed_ar1_inputs_follow_the_scalar_recursion(alpha):
     """After the 1000-step burn-in, each member's streamed input (the latest
-    row of each step's window) is x_t = v_t + alpha x_{t-1} from x_{-1} = 0,
-    over innovations drawn step by step from the leaf's own input generator,
-    whatever the block length."""
+    row of each step's regressors) is x_t = v_t + alpha x_{t-1} from x_{-1}
+    = 0, over innovations drawn step by step from the leaf's own input
+    generator, through every turn of the ring."""
     model, L, members, seed, index = AR1GaussianMixture(alpha=alpha), 35, 8, 2024, 3
     rng = _leaf_generators(seed, index)[0]
     v = [_innovations(model, rng, members).tolist() for _ in range(1000 + STREAM_STEPS)]
@@ -388,12 +386,10 @@ def test_streamed_ar1_inputs_follow_the_scalar_recursion(monkeypatch, alpha):
             x = v_t[m] + alpha * x
             xs.append(x)
         want.append(xs[1000:])
-    for block in STREAM_BLOCKS:
-        monkeypatch.setattr(gslms.oracles, "BLOCK_STEPS", block)
-        streamed = _streamed(model, L, members, STREAM_STEPS, seed, index)[0][:, 0]
-        assert streamed.shape == (STREAM_STEPS, members) and streamed.dtype == np.float64
-        for m in range(members):
-            assert streamed[:, m].tolist() == want[m], (block, m)
+    streamed = _streamed(model, L, members, STREAM_STEPS, seed, index)[0][:, 0]
+    assert streamed.shape == (STREAM_STEPS, members) and streamed.dtype == np.float64
+    for m in range(members):
+        assert streamed[:, m].tolist() == want[m], m
 
 
 def _step_major_inputs(model, ensemble, steps, rng):
@@ -473,7 +469,7 @@ def _three_configs():
     return {"lms": _lms_config(mu=0.005), "gza": gza, "grza": _grza_config(mu=0.005, rho=1e-4)}
 
 
-REFERENCE_ENSEMBLE, REFERENCE_HORIZON = 45, 13  # 13 steps: a block of 8 and a partial one
+REFERENCE_ENSEMBLE, REFERENCE_HORIZON = 45, 13
 # One leaf of 45 members, then 7 leaves of 6 or 7
 REFERENCE_TILES = (gslms.oracles.TILE_MEMBERS, 7)
 
@@ -529,9 +525,9 @@ def test_ensemble_moments_match_the_whole_ensemble_reference(monkeypatch, tag, m
 
 
 def test_ensemble_moments_memory_does_not_grow_with_the_horizon():
-    """The pass holds one block of input and noise, so its traced peak at
-    n = 5000 is that at n = 50; holding the whole history of 200 members
-    would add about 3 x 200 x 4950 x 8 B = 24 MB."""
+    """A leaf holds one step's input and noise and its ring, so its traced
+    peak at n = 5000 is that at n = 50; holding the whole history of 200
+    members would add about 3 x 200 x 4950 x 8 B = 24 MB."""
     plant = benchmark_plants()[0]
 
     def peak(n):
@@ -623,16 +619,16 @@ def test_ensemble_moments_match_pinned_record():
 
 
 # ---------------------------------------------------------------------------
-# leaves, blocks, workers and the reversed-input regressor layout
+# leaves, workers and the reversed-input regressor ring
 
 LEAF_ENSEMBLE = 45  # 7 leaves of 6 or 7 members at TILE_MEMBERS = 7
 HORIZON = 12
 
 
 def test_results_do_not_depend_on_the_block_length_or_the_worker_count(monkeypatch):
-    """The leaves fix the numbers.  The same bits for blocks of 1, 3 and 5
-    steps (5 leaves a partial block), of the horizon, and of more steps than
-    the pass has, and on 2 and 3 worker processes."""
+    """The leaves fix the numbers: the same bits on 1, 2 and 3 worker
+    processes.  (The stream draws one step at a time, so no block length is
+    left to vary.)"""
     plant = benchmark_plants()[0]
     configs = tuple(_three_configs().values())
     monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", 7)
@@ -669,9 +665,6 @@ def test_results_do_not_depend_on_the_block_length_or_the_worker_count(monkeypat
     want = results(1)
     for workers in (2, 3):
         same(results(workers), want, f"{workers} workers")
-    for block in (1, 3, 5, HORIZON, HORIZON + 5):
-        monkeypatch.setattr(gslms.oracles, "BLOCK_STEPS", block)
-        same(results(1), want, f"block {block}")
     assert set(counts) == {7}
 
 
@@ -681,8 +674,7 @@ def test_results_do_not_depend_on_the_tile_size(monkeypatch, tile):
     22 of 2 or 3 members, 7 makes 7, 44 makes 2, and 45 and 50 make one),
     and the leaves fix the numbers; at every tile size the validation trace
     and the moment means are the bits of the leaf-by-leaf reference of those
-    leaves, for blocks of 1 and 5 steps and of more steps than the pass has,
-    and on 2 worker processes."""
+    leaves, in-process and on 2 worker processes."""
     plant = benchmark_plants()[0]
     monkeypatch.setattr(gslms.oracles, "TILE_MEMBERS", tile)
     want = {}
@@ -705,10 +697,8 @@ def test_results_do_not_depend_on_the_tile_size(monkeypatch, tile):
                                  workers=workers)
             assert [m.g, m.h, m.ell, m.r1, m.r2] == means, (label, tag)
 
+    check("1 worker")
     check("2 workers", workers=2)
-    for block in (1, 5, HORIZON + 5):
-        monkeypatch.setattr(gslms.oracles, "BLOCK_STEPS", block)
-        check(f"block {block}")
 
 
 @pytest.mark.parametrize("ensemble", [2, 1025])
@@ -727,10 +717,11 @@ def test_no_tile_is_narrower_than_two_members(monkeypatch, ensemble):
         assert np.array_equal(report.trq, trq), tile
 
 
-def test_each_step_reads_the_reversed_sliding_window(monkeypatch):
-    """Whatever the block length, step t reads the reversed, zero-padded
-    window of the last L streamed inputs as one C-contiguous (L, T) block
-    of the leaf, and the noise is the leaf's own step-major draws."""
+def test_each_step_reads_the_reversed_sliding_window():
+    """Through every turn of the ring, step t reads the reversed,
+    zero-padded window of the last L streamed inputs as one C-contiguous
+    (L, T) block of the leaf, and the noise is the leaf's own step-major
+    draws."""
     L, members, seed, index, model = 35, 7, 13, 2, AR1GaussianMixture()
     x_rng, z_rng = _leaf_generators(seed, index)
     x = _step_major_inputs(model, members, STREAM_STEPS, x_rng)
@@ -738,11 +729,9 @@ def test_each_step_reads_the_reversed_sliding_window(monkeypatch):
     padded = np.concatenate([np.zeros((L - 1, members)), x])
     want = np.lib.stride_tricks.sliding_window_view(padded, L, axis=0)  # (steps, T, L)
     want = want[:, :, ::-1].transpose(0, 2, 1)  # (steps, L, T), latest input first
-    for block in STREAM_BLOCKS:
-        monkeypatch.setattr(gslms.oracles, "BLOCK_STEPS", block)
-        windows, noise = _streamed(model, L, members, STREAM_STEPS, seed, index)
-        assert np.array_equal(windows, want), block
-        assert np.array_equal(noise, z), block
+    windows, noise = _streamed(model, L, members, STREAM_STEPS, seed, index)
+    assert np.array_equal(windows, want)
+    assert np.array_equal(noise, z)
 
 
 def test_lms_attractor_moments_are_exactly_zero():

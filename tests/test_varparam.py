@@ -374,7 +374,7 @@ def test_smoothing_stores_previous_values():
 def _iteration_setup(L=1, tag=None, sigma_z2=0.01, **vp_kw):
     partition = GroupPartition.contiguous(L, 1 if L < 5 else 5)
     mode = None if tag is None else AttractorMode(tag, 0.1)
-    cfg = FilterConfig(L=L, partition=partition, mode=mode, variable_params=True)
+    cfg = FilterConfig(L=L, partition=partition, mode=mode)
     vp = _vp(L=L, sigma_z2=sigma_z2, **vp_kw)
     return vp, cfg
 
